@@ -232,12 +232,33 @@ def _cmd_entropy(args, out) -> int:
     return 0
 
 
+_SWEEP_KEYS = ("base", "axes", "cycles", "outputs")
+_AXIS_KEYS = ("name", "start", "stop", "count", "spacing")
+
+
+def _reject_unknown_keys(doc: dict, allowed: tuple[str, ...], where: str):
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {list(allowed)}")
+
+
+def _axis_count(value) -> int:
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"axis count must be an integer, got {value!r}")
+    return int(value)
+
+
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
-    """Build a SweepConfig from the documented JSON layout."""
+    """Build a SweepConfig from the documented JSON layout; unknown keys are errors."""
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
+    _reject_unknown_keys(doc, _SWEEP_KEYS, "sweep config")
     axes = []
     for axis_doc in doc.get("axes", ()):
+        if not isinstance(axis_doc, dict):
+            raise ValueError(f"each axis must be a JSON object, got {axis_doc!r}")
+        _reject_unknown_keys(axis_doc, _AXIS_KEYS, "axis")
         spacing = axis_doc.get("spacing", "linear")
         if spacing != "linear":
             raise ValueError(f"only linear axis spacing is supported, got {spacing!r}")
@@ -245,7 +266,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
             name=axis_doc["name"],
             start=float(axis_doc["start"]),
             stop=float(axis_doc["stop"]),
-            count=int(axis_doc["count"]),
+            count=_axis_count(axis_doc["count"]),
         ))
     base_doc = dict(doc.get("base", {}))
     kind = base_doc.pop("kind", CycleKind.QOC.value)

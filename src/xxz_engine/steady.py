@@ -2,9 +2,8 @@
 
 Three routes, kept deliberately independent so they can cross-validate:
 
-* ``steady_state_solve`` -- the primary path: build the Pauli generator M
-  (dP/dt = M P), replace one row with the normalization constraint and
-  solve the 4x4 linear system.
+* ``steady_state_solve`` -- the primary path: the matrix-tree (Kirchhoff/
+  Hill) formula on the bath-coupled level graph, the 4-cycle 1-3-2-4-1.
 * ``steady_state_closed_form`` -- the analytic elimination of the same
   balance equations in terms of the per-pair aggregates E_ij / A_ij;
   a validation artifact, not the primary path.
@@ -12,10 +11,10 @@ Three routes, kept deliberately independent so they can cross-validate:
   whenever both reservoirs share one temperature.
 
 Populations in deeply gapped, low-temperature configurations span hundreds
-of orders of magnitude; the solver polishes components below
-``TINY_POPULATION`` with an exact back-substitution on their sub-block so
-that even ~1e-90 occupations keep relative (not just absolute) accuracy.
-Heat currents and entropy production inherit their sign from those tiny
+of orders of magnitude.  The matrix-tree formula writes each one as a sum
+of products of nonnegative rates, with no subtraction anywhere, so even
+~1e-90 occupations keep relative (not just absolute) accuracy.  Heat
+currents and entropy production inherit their sign from those tiny
 components, so this matters.
 """
 
@@ -32,9 +31,6 @@ from .model import EigenSystem
 #: Slack on the [0, 1] range and on the sum-to-one constraint.
 POPULATION_ATOL = 1e-12
 
-#: Components below this are re-solved by back-substitution for relative accuracy.
-TINY_POPULATION = 1e-12
-
 #: Acceptable stationarity residual max|M P| of a returned steady state.
 RESIDUAL_TOL = 1e-12
 
@@ -45,13 +41,20 @@ _CLOSED_FORM_FLOOR = 1e-14
 class SteadyStateError(RuntimeError):
     """Base class for steady-state computation failures."""
 
+    #: Error code of the ``#ERR:<code>`` cells this failure produces in a sweep.
+    code = "NUMERIC"
+
 
 class NonUniqueSteadyStateError(SteadyStateError):
     """The rate network does not pin down a unique stationary distribution."""
 
+    code = "NONUNIQUE"
+
 
 class ClosedFormInapplicableError(SteadyStateError):
-    """A closed-form denominator vanished; fall back to the linear solver."""
+    """A closed-form denominator vanished; fall back to ``steady_state_solve``."""
+
+    code = "CLOSEDFORM"
 
 
 @dataclass(frozen=True)
@@ -134,99 +137,47 @@ def generator_matrix(rates: RateSet) -> RateGenerator:
     return RateGenerator(matrix=np.array(_generator_rows(rates)))
 
 
-class _SingularSystem(Exception):
-    """Internal: the pivoted elimination hit a zero pivot."""
-
-
-def _lu_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
-    """Gaussian elimination with deterministic partial pivoting (n <= 4)."""
-    n = len(b)
-    a = [row[:] for row in a_rows]
-    x = list(b)
-    for col in range(n):
-        pivot_row = col
-        pivot = abs(a[col][col])
-        for row in range(col + 1, n):
-            candidate = abs(a[row][col])
-            if candidate > pivot:
-                pivot, pivot_row = candidate, row
-        if pivot == 0.0:
-            raise _SingularSystem(f"zero pivot in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            x[col], x[pivot_row] = x[pivot_row], x[col]
-        lead = a[col][col]
-        for row in range(col + 1, n):
-            factor = a[row][col] / lead
-            if factor != 0.0:
-                arow, acol = a[row], a[col]
-                for k in range(col + 1, n):
-                    arow[k] -= factor * acol[k]
-                x[row] -= factor * x[col]
-            a[row][col] = 0.0
-    for col in range(n - 1, -1, -1):
-        acc = x[col]
-        arow = a[col]
-        for k in range(col + 1, n):
-            acc -= arow[k] * x[k]
-        x[col] = acc / arow[col]
-    return x
-
-
-def _polish_tiny_components(m: list[list[float]], p: list[float]) -> list[float]:
-    """Re-solve the tiny-population sub-block by direct back-substitution.
-
-    The row-replacement solve leaves components far below the norm of the
-    solution with absolute (machine-epsilon level) instead of relative
-    accuracy.  At stationarity those components satisfy their own balance
-    equations with the large components as sources, a small strictly
-    dominated linear system with nonnegative data that solves to
-    componentwise relative accuracy.
-    """
-    tiny = [i for i in range(4) if abs(p[i]) < TINY_POPULATION]
-    big = [i for i in range(4) if abs(p[i]) >= TINY_POPULATION]
-    if not tiny or not big:
-        return p
-    sub = [[m[r][c] for c in tiny] for r in tiny]
-    rhs = [-sum(m[r][c] * p[c] for c in big) for r in tiny]
-    try:
-        solved = _lu_solve(sub, rhs)
-    except _SingularSystem:
-        return p  # degenerate sub-block: keep the unpolished values
-    p = list(p)
-    for index, value in zip(tiny, solved):
-        p[index] = value
-    return p
+#: The bath-coupled level graph as 0-based states in cycle order 1-3-2-4-1;
+#: the pairs (1, 2) and (3, 4) are dark.
+_CYCLE = (0, 2, 1, 3)
 
 
 def steady_state_solve(rates: RateSet) -> PopulationVector:
     """Unique stationary distribution of the rate network.
 
-    Replaces the first generator row with the normalization constraint
-    (any single row is redundant: the columns of M sum to zero) and solves
-    the resulting 4x4 system with one step of iterative refinement plus the
-    tiny-component polish.  Raises ``NonUniqueSteadyStateError`` when the
-    constrained system is singular or the solution fails the stationarity
-    residual -- e.g. all rates zero, or a level graph that splits into
-    disconnected pieces at zero temperature.
+    Matrix-tree (Kirchhoff/Hill) formula on the 4-cycle 1-3-2-4-1: P_i is
+    proportional to the sum, over the four spanning trees (the cycle minus
+    one edge), of the product of the three rates directed toward i.  Every
+    term is a product of nonnegative rates, so each population keeps
+    relative accuracy however small it is.  Rates are divided by the
+    largest one first so the products cannot overflow.  Raises
+    ``NonUniqueSteadyStateError`` when every tree weight vanishes (e.g. all
+    rates zero, or a level graph that splits into disconnected pieces at
+    zero temperature) or the result fails the stationarity residual.
     """
     m = _generator_rows(rates)
-    a = [[1.0, 1.0, 1.0, 1.0], m[1], m[2], m[3]]
-    b = [1.0, 0.0, 0.0, 0.0]
-    try:
-        p = _lu_solve(a, b)
-        shortfall = [bi - sum(ai * pi for ai, pi in zip(row, p))
-                     for row, bi in zip(a, b)]
-        correction = _lu_solve(a, shortfall)
-        p = [pi + ci for pi, ci in zip(p, correction)]
-    except _SingularSystem as exc:
+    # k(c -> r) = m[r][c]; fwd[x] leaves _CYCLE[x] forward, back[x] backward.
+    fwd = [m[_CYCLE[(x + 1) % 4]][_CYCLE[x]] for x in range(4)]
+    back = [m[_CYCLE[x - 1]][_CYCLE[x]] for x in range(4)]
+    scale = max(fwd + back)
+    weights = [0.0] * 4
+    if scale > 0.0:
+        fwd = [k / scale for k in fwd]
+        back = [k / scale for k in back]
+        for x in range(4):
+            # The four trees rooted at _CYCLE[x]: of the other three states,
+            # in cycle order after it, the first 0, 1, 2 or 3 drain backward
+            # into it and the rest forward.
+            f1, f2, f3 = fwd[(x + 1) % 4], fwd[(x + 2) % 4], fwd[(x + 3) % 4]
+            b1, b2, b3 = back[(x + 1) % 4], back[(x + 2) % 4], back[(x + 3) % 4]
+            weights[_CYCLE[x]] = f1 * f2 * f3 + b1 * f2 * f3 + b1 * b2 * f3 + b1 * b2 * b3
+    total = sum(weights)
+    if not total > 0.0:
         raise NonUniqueSteadyStateError(
-            "constrained steady-state system is singular (disconnected or "
-            "rate-free level graph)"
-        ) from exc
-    if not all(math.isfinite(x) for x in p):
-        raise NonUniqueSteadyStateError("steady-state solve produced non-finite values")
-    p = _polish_tiny_components(m, p)
+            "every spanning-tree weight vanishes (disconnected or rate-free "
+            "level graph)"
+        )
+    p = [w / total for w in weights]
     residual = max(abs(sum(m[r][c] * p[c] for c in range(4))) for r in range(4))
     if residual > RESIDUAL_TOL:
         raise NonUniqueSteadyStateError(

@@ -3,17 +3,17 @@
 A sweep evaluates every grid point of up to two linearly spaced parameter
 axes for a selected set of cycles and emits one row per (point, cycle) in
 row-major order over the axes (first axis outermost, cycles innermost).
-Rows come out in that order no matter how the evaluation is scheduled;
-``XXZ_ENGINE_THREADS`` caps the worker count (0 or unset = auto) without
-affecting a single byte of the output.  A point whose evaluation fails
-produces a row whose output cells carry ``#ERR:<code>`` markers; the
-neighbors are unaffected.
+Points are evaluated serially: the evaluation is pure Python and holds
+the interpreter lock, so a thread pool only made sweeps slower.
+``XXZ_ENGINE_THREADS`` is still validated but no longer changes anything.
+A point whose evaluation fails produces a row whose output cells carry
+``#ERR:<code>`` markers; the neighbors are unaffected.  A failure of the
+entropy production alone marks only the ``pi*`` cells.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .cycles import (
@@ -29,6 +29,8 @@ from .steady import SteadyStateError
 #: CycleSpec fields that may serve as sweep axes.
 AXIS_NAMES = ("B", "T_M", "dT", "delta_c", "delta_h", "kappa")
 
+_PI_COLUMNS = ("pi12", "pi34", "pi_total")
+
 _POPULATION_COLUMNS = tuple(
     f"P{i}_{stage}" for stage in ("c", "h") for i in (1, 2, 3, 4)
 )
@@ -39,8 +41,8 @@ _ENERGY_COLUMNS = tuple(
 #: Every per-cycle output column a sweep can emit.
 OUTPUT_KEYS = (
     "q12", "q34", "w", "eta", "xi12", "xi34", "xi_diff",
-    "positive_work", "unity", "pi12", "pi34", "pi_total",
-) + _POPULATION_COLUMNS + _ENERGY_COLUMNS
+    "positive_work", "unity",
+) + _PI_COLUMNS + _POPULATION_COLUMNS + _ENERGY_COLUMNS
 
 #: Shorthand groups accepted in output selections.
 OUTPUT_GROUPS = {
@@ -49,11 +51,6 @@ OUTPUT_GROUPS = {
     "E_c": tuple(f"E{i}_c" for i in (1, 2, 3, 4)),
     "E_h": tuple(f"E{i}_h" for i in (1, 2, 3, 4)),
     "flags": ("positive_work", "unity"),
-}
-
-_ERROR_CODES = {
-    "NonUniqueSteadyStateError": "NONUNIQUE",
-    "ClosedFormInapplicableError": "CLOSEDFORM",
 }
 
 
@@ -134,12 +131,18 @@ class SweepTable:
     rows: list[tuple]
 
 
+def _error_code(exc: Exception) -> str:
+    return exc.code if isinstance(exc, SteadyStateError) else "DOMAIN"
+
+
 def _cycle_fields(spec: CycleSpec) -> dict:
-    """All canonical output fields for one (grid point, cycle) evaluation."""
+    """All canonical output fields for one (grid point, cycle) evaluation.
+
+    A failure of the entropy production only marks the ``pi*`` fields:
+    heats, work and populations do not depend on it.
+    """
     stage_c, stage_h = stage_states(spec)
     result: CycleResult = cycle_result_from_stages(spec, stage_c, stage_h)
-    pi12 = stage_entropy_production(stage_c)
-    pi34 = stage_entropy_production(stage_h)
     fields = {
         "q12": result.q12,
         "q34": result.q34,
@@ -150,25 +153,19 @@ def _cycle_fields(spec: CycleSpec) -> dict:
         "xi_diff": result.xi34 - result.xi12,
         "positive_work": result.positive_work,
         "unity": result.unity,
-        "pi12": pi12,
-        "pi34": pi34,
-        "pi_total": pi12 + pi34,
     }
+    try:
+        pi12 = stage_entropy_production(stage_c)
+        pi34 = stage_entropy_production(stage_h)
+        fields.update(pi12=pi12, pi34=pi34, pi_total=pi12 + pi34)
+    except (ValueError, ArithmeticError) as exc:
+        fields.update(dict.fromkeys(_PI_COLUMNS, f"#ERR:{_error_code(exc)}"))
     for i in (1, 2, 3, 4):
         fields[f"P{i}_c"] = result.p_c.probability(i)
         fields[f"P{i}_h"] = result.p_h.probability(i)
         fields[f"E{i}_c"] = stage_c.eigen.energy(i)
         fields[f"E{i}_h"] = stage_h.eigen.energy(i)
     return fields
-
-
-def _error_code(exc: Exception) -> str:
-    name = type(exc).__name__
-    if name in _ERROR_CODES:
-        return _ERROR_CODES[name]
-    if isinstance(exc, SteadyStateError):
-        return "NUMERIC"
-    return "DOMAIN"
 
 
 def _evaluate_point(config: SweepConfig, values: tuple[float, ...]) -> list[tuple]:
@@ -187,7 +184,7 @@ def _evaluate_point(config: SweepConfig, values: tuple[float, ...]) -> list[tupl
 
 
 def worker_count() -> int:
-    """Sweep parallelism from XXZ_ENGINE_THREADS (0 or unset = auto)."""
+    """Validate XXZ_ENGINE_THREADS (an integer >= 0); sweeps run serially, so 1."""
     raw = os.environ.get("XXZ_ENGINE_THREADS", "0")
     try:
         requested = int(raw)
@@ -195,28 +192,15 @@ def worker_count() -> int:
         raise ValueError(f"XXZ_ENGINE_THREADS must be an integer, got {raw!r}") from exc
     if requested < 0:
         raise ValueError(f"XXZ_ENGINE_THREADS must be >= 0, got {requested}")
-    if requested == 0:
-        return min(os.cpu_count() or 1, 8)
-    return requested
+    return 1
 
 
 def run_sweep(config: SweepConfig) -> SweepTable:
-    """Evaluate the whole grid; rows in deterministic row-major order.
-
-    The result is identical whether points are evaluated serially or on a
-    thread pool: every point is an independent pure evaluation, and rows
-    are assembled by grid index, never by completion order.
-    """
-    grid = config.grid()
-    workers = min(worker_count(), len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda v: _evaluate_point(config, v), grid))
-    else:
-        blocks = [_evaluate_point(config, v) for v in grid]
+    """Evaluate the whole grid; rows in deterministic row-major order."""
+    worker_count()
     rows: list[tuple] = []
-    for block in blocks:
-        rows.extend(block)
+    for values in config.grid():
+        rows.extend(_evaluate_point(config, values))
     return SweepTable(columns=config.columns(), rows=rows)
 
 

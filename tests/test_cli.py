@@ -194,6 +194,19 @@ def test_sweep_config_errors_exit_2(tmp_path, capsys):
     assert err != ""
     status, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "missing.json"))
     assert status == 2
+    good = sweep_config_to_dict(figure_preset("fig2").runs[0].config)
+    extra_top = dict(good, extra=1)
+    extra_axis = dict(good, axes=[dict(good["axes"][0], extra=1)])
+    fractional = dict(good, axes=[dict(good["axes"][0], count=3.7)])
+    not_object = dict(good, axes=[5])
+    for doc, named in (
+        (extra_top, "extra"), (extra_axis, "extra"), (fractional, "3.7"), (not_object, "5"),
+    ):
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "sweep", "--config", str(bad))
+        assert status == 2
+        assert out == ""
+        assert named in err
 
 
 def test_figure_writes_panel_files(tmp_path, capsys):

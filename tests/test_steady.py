@@ -179,10 +179,48 @@ def test_population_vector_validation():
     PopulationVector(p=(0.25, 0.25, 0.25, 0.25))  # valid
 
 
-def test_deep_freeze_keeps_relative_accuracy():
-    # tiny populations must come out with correct magnitudes, not solver noise
-    _, rates = build_rates(B=0.5, delta=0.1, T_L=0.42, T_R=0.005, kappa=0.05, epsilon=1.0)
-    populations = steady_state_solve(rates)
+def _oracle_populations(mpmath, rates):
+    """Row-replaced LU solve of the same float rates at 400 digits."""
+    with mpmath.workdps(400):
+        m = mpmath.zeros(4, 4)
+        for entry in rates.entries:
+            u, l = entry.upper - 1, entry.lower - 1
+            m[l, u] += mpmath.mpf(entry.emission_total)
+            m[u, l] += mpmath.mpf(entry.absorption_total)
+        for col in range(4):
+            m[col, col] = -sum(m[row, col] for row in range(4) if row != col)
+            m[0, col] = mpmath.mpf(1)
+        return list(mpmath.lu_solve(m, mpmath.matrix([1, 0, 0, 0])))
+
+
+def test_deep_freeze_keeps_relative_accuracy(rng):
+    # tiny populations must match a high-precision oracle componentwise in
+    # relative terms, not just come out with the right magnitude
+    mpmath = pytest.importorskip("mpmath")
+    frozen = dict(B=0.5, delta=0.1, T_L=0.42, T_R=0.005, kappa=0.05, epsilon=1.0)
+    _, rates = build_rates(**frozen)
     for state in (1, 2, 4):
-        value = populations.probability(state)
-        assert 0.0 < value < 1e-40
+        assert 0.0 < steady_state_solve(rates).probability(state) < 1e-40
+    cases = [frozen]
+    for index in range(200):
+        delta = rng.uniform(0.05, 1)
+        crossing = (delta + 1.0) * (1 if index % 2 else -1)
+        cases.append(dict(
+            B=crossing if index % 5 == 0 else rng.uniform(-3, 3),
+            delta=delta,
+            T_L=0.005 if index % 3 == 0 else rng.uniform(0.005, 12),
+            T_R=0.005 if index % 4 < 2 else rng.uniform(0.005, 12),
+            kappa=rng.uniform(0.01, 0.1),
+            epsilon=float(index % 2),
+        ))
+    smallest = 1.0
+    for case in cases:
+        _, rates = build_rates(**case)
+        solved = steady_state_solve(rates).p
+        for got, ref in zip(solved, _oracle_populations(mpmath, rates)):
+            smallest = min(smallest, float(ref))
+            if ref >= 1e-290:
+                assert abs((got - ref) / ref) <= 1e-12, (case, got, ref)
+            else:
+                assert abs(got - ref) <= 1e-290, (case, got, ref)
+    assert smallest < 1e-90  # the cases reach the deeply frozen regime

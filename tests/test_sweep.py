@@ -1,13 +1,19 @@
 """Sweep engine: grids, ordering, error isolation, presets, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xxz_engine import (
+    ClosedFormInapplicableError,
     CycleKind,
     CycleSpec,
+    NonUniqueSteadyStateError,
+    SteadyStateError,
     SweepAxis,
     SweepConfig,
+    evaluate_cycle,
     figure_preset,
     project_panel,
     run_sweep,
@@ -112,16 +118,44 @@ def test_failed_point_does_not_disturb_neighbors(monkeypatch):
     with pytest.raises(RuntimeError):
         run_sweep(small_config(cycles=(CycleKind.QOC,)))
 
-    def marked(spec):
-        if spec.B == 0.0:
-            raise ValueError("injected")
-        return real(spec)
+    for error, code in (
+        (ValueError, "DOMAIN"),
+        (ArithmeticError, "DOMAIN"),
+        (SteadyStateError, "NUMERIC"),
+        (NonUniqueSteadyStateError, "NONUNIQUE"),
+        (ClosedFormInapplicableError, "CLOSEDFORM"),
+    ):
+        def marked(spec, error=error):
+            if spec.B == 0.0:
+                raise error("injected")
+            return real(spec)
 
-    monkeypatch.setattr(sweep_module, "_cycle_fields", marked)
-    table = run_sweep(small_config(cycles=(CycleKind.QOC,)))
-    assert table.rows[2][2] == "#ERR:DOMAIN"
-    for good, row in zip(clean.rows[:2] + clean.rows[3:], table.rows[:2] + table.rows[3:]):
-        assert good == row
+        monkeypatch.setattr(sweep_module, "_cycle_fields", marked)
+        table = run_sweep(small_config(cycles=(CycleKind.QOC,)))
+        assert table.rows[2][2:] == (f"#ERR:{code}",) * 2
+        for good, row in zip(clean.rows[:2] + clean.rows[3:], table.rows[:2] + table.rows[3:]):
+            assert good == row
+
+
+def test_entropy_failure_marks_only_pi_cells():
+    # T_floor = 0 with dT = 2 T_M puts the cold reservoir at T = 0: the
+    # steady states and the work exist, the entropy flux does not
+    base = CycleSpec(
+        kind=CycleKind.GQOC_ASYM, B=0.0, delta_c=0.10, delta_h=0.99,
+        kappa=0.05, T_M=1.2, dT=2.4, T_floor=0.0,
+    )
+    config = small_config(
+        base=base,
+        cycles=(CycleKind.GQOC_ASYM, CycleKind.QOC),
+        outputs=("w", "eta", "pi12"),
+    )
+    for row in run_sweep(config).rows:
+        B, kind, w, _, pi12 = row
+        if kind == "qoc":  # gibbs_state rejects T = 0 by contract
+            assert row[2:] == ("#ERR:DOMAIN",) * 3
+            continue
+        assert w == evaluate_cycle(replace(base, B=B)).w
+        assert pi12 == "#ERR:DOMAIN"
 
 
 def test_schedule_independence(monkeypatch):
