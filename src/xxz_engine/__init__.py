@@ -12,7 +12,6 @@ from .baths import (
     PairRates,
     RateSet,
     bose_occupation,
-    high_gradient_aggregates,
     transition_rates,
 )
 from .cycles import (
@@ -53,7 +52,6 @@ from .model import (
     Transition,
     TransitionTable,
     eigenenergies,
-    ground_state_index,
     hamiltonian_matrix,
     transition_table,
 )

@@ -160,32 +160,3 @@ def transition_rates(table: TransitionTable, baths: BathParams) -> RateSet:
         entries.append(PairRates.build(transition, e_l, a_l, e_r, a_r))
     return RateSet(entries=tuple(entries))
 
-
-def high_gradient_aggregates(table: TransitionTable, baths: BathParams) -> dict[str, float]:
-    """Deviation of the rate aggregates from their cold-left-reservoir limits.
-
-    In the asymmetric configuration with the left reservoir cold (the stage
-    3-4 layout), the aggregates lose their left-temperature dependence as
-    T_L -> 0: absorption reduces to the right-side rate on every pair, and
-    total emission reduces to the right-side rate plus the temperature-
-    independent left-side term left_weight * kappa * omega on the pairs
-    involving state 4 (the left weight vanishes on the state-3 pairs).
-    Returns the absolute deviation per aggregate, keyed ``"A_ij"`` /
-    ``"E_ij"``; all zero at T_L = 0 exactly, and suppressed by the Bose
-    tail exp(-omega/T_L) for small T_L.
-
-    Only defined for epsilon = 1.
-    """
-    if table.epsilon != 1.0 or baths.epsilon != 1.0:
-        raise ValueError("high-gradient aggregate check requires epsilon = 1")
-    rates = transition_rates(table, baths)
-    report = {}
-    for pair_rates in rates.entries:
-        i, j = pair_rates.pair
-        a_limit = pair_rates.absorption_R
-        e_limit = pair_rates.emission_R
-        if j == 4 and not pair_rates.degenerate:
-            e_limit += 2.0 * baths.kappa * pair_rates.omega  # left weight (1+1)^2/2
-        report[f"A_{i}{j}"] = abs(pair_rates.absorption_total - a_limit)
-        report[f"E_{i}{j}"] = abs(pair_rates.emission_total - e_limit)
-    return report

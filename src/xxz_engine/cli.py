@@ -15,16 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .baths import BathParams, transition_rates
-from .cycles import (
-    CycleKind,
-    CycleSpec,
-    cycle_result_from_stages,
-    stage_entropy_production,
-    stage_states,
-)
+from .cycles import CycleKind, CycleSpec, stage_entropy_production, stage_states
 from .dynamics import evolve_populations, relaxation_time
 from .model import SystemParams, eigenenergies, transition_table
 from .steady import (
@@ -36,10 +31,12 @@ from .steady import (
     steady_state_solve,
 )
 from .sweep import (
+    CYCLE_COLUMNS,
     FIGURE_NAMES,
     SweepAxis,
     SweepConfig,
     SweepTable,
+    cycle_cells,
     figure_preset,
     project_panel,
     run_sweep,
@@ -183,24 +180,14 @@ def _cmd_steady(args, out) -> int:
 
 def _cmd_cycle(args, out) -> int:
     spec = _spec_from_args(args)
-    stage_c, stage_h = stage_states(spec)
-    result = cycle_result_from_stages(spec, stage_c, stage_h)
-    for label, stage in (("1-2", stage_c), ("3-4", stage_h)):
+    cells = cycle_cells(spec, CYCLE_COLUMNS)
+    for label, stage in zip(("1-2", "3-4"), stage_states(spec)):
         if stage.rates is not None:
             tau = relaxation_time(generator_matrix(stage.rates))
             print(f"stage {label} relaxation timescale: {tau:.6g}", file=sys.stderr)
-    columns = (
-        "kind", "B", "J", "delta_c", "delta_h", "kappa", "T_M", "dT", "T_floor",
-        "q12", "q34", "w", "eta", "xi12", "xi34", "positive_work", "unity",
-        "P1_c", "P2_c", "P3_c", "P4_c", "P1_h", "P2_h", "P3_h", "P4_h",
-    )
-    row = (
-        spec.kind.value, spec.B, spec.J, spec.delta_c, spec.delta_h, spec.kappa,
-        spec.T_M, spec.dT, spec.T_floor,
-        result.q12, result.q34, result.w, result.eta, result.xi12, result.xi34,
-        result.positive_work, result.unity,
-    ) + result.p_c.p + result.p_h.p
-    out.write(render_table(columns, [row]))
+    echo = ("kind", "B", "J", "delta_c", "delta_h", "kappa", "T_M", "dT", "T_floor")
+    row = (spec.kind.value,) + tuple(getattr(spec, name) for name in echo[1:]) + cells
+    out.write(render_table(echo + CYCLE_COLUMNS, [row]))
     return 0
 
 
@@ -242,11 +229,11 @@ def _reject_unknown_keys(doc: dict, allowed: tuple[str, ...], where: str):
         raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {list(allowed)}")
 
 
-def _axis_count(value) -> int:
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"axis count must be an integer, got {value!r}")
-    return int(value)
+def _json_list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"sweep config {key!r} must be a JSON list, got {value!r}")
+    return value
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
@@ -255,7 +242,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         raise ValueError("sweep config must be a JSON object")
     _reject_unknown_keys(doc, _SWEEP_KEYS, "sweep config")
     axes = []
-    for axis_doc in doc.get("axes", ()):
+    for axis_doc in _json_list(doc, "axes"):
         if not isinstance(axis_doc, dict):
             raise ValueError(f"each axis must be a JSON object, got {axis_doc!r}")
         _reject_unknown_keys(axis_doc, _AXIS_KEYS, "axis")
@@ -264,11 +251,14 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
             raise ValueError(f"only linear axis spacing is supported, got {spacing!r}")
         axes.append(SweepAxis(
             name=axis_doc["name"],
-            start=float(axis_doc["start"]),
-            stop=float(axis_doc["stop"]),
-            count=_axis_count(axis_doc["count"]),
+            start=axis_doc["start"],
+            stop=axis_doc["stop"],
+            count=axis_doc["count"],
         ))
-    base_doc = dict(doc.get("base", {}))
+    base_doc = doc.get("base", {})
+    if not isinstance(base_doc, dict):
+        raise ValueError(f"sweep config 'base' must be a JSON object, got {base_doc!r}")
+    base_doc = dict(base_doc)
     kind = base_doc.pop("kind", CycleKind.QOC.value)
     for axis in axes:  # axis-covered fields may be omitted from the base
         base_doc.setdefault(axis.name, axis.start)
@@ -279,29 +269,16 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     return SweepConfig(
         base=base,
         axes=tuple(axes),
-        cycles=tuple(CycleKind(c) for c in doc.get("cycles", ())),
-        outputs=tuple(doc.get("outputs", ())),
+        cycles=tuple(_json_list(doc, "cycles")),
+        outputs=tuple(_json_list(doc, "outputs")),
     )
 
 
 def sweep_config_to_dict(config: SweepConfig) -> dict:
-    base = config.base
+    """The JSON layout ``sweep_config_from_dict`` reads back."""
     return {
-        "base": {
-            "kind": base.kind.value,
-            "B": base.B,
-            "J": base.J,
-            "delta_c": base.delta_c,
-            "delta_h": base.delta_h,
-            "kappa": base.kappa,
-            "T_M": base.T_M,
-            "dT": base.dT,
-            "T_floor": base.T_floor,
-        },
-        "axes": [
-            {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
-            for a in config.axes
-        ],
+        "base": dict(asdict(config.base), kind=config.base.kind.value),
+        "axes": [asdict(axis) for axis in config.axes],
         "cycles": [c.value for c in config.cycles],
         "outputs": list(config.outputs),
     }

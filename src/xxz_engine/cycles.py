@@ -27,7 +27,7 @@ shifts of the entangled levels (3, 4) against the product levels (1, 2).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +38,17 @@ from .steady import PopulationVector, gibbs_state, steady_state_solve
 
 #: Default cold-reservoir floor; keeps dT = 2*T_M from reaching T = 0 exactly.
 _DEFAULT_T_FLOOR = 0.005
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def finite_number(value, name: str):
+    """``value`` if it is a finite int or float; a bool or a string is rejected."""
+    # the comparison also rejects NaN, and ints too large for a float
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 class CycleKind(str, Enum):
@@ -63,9 +74,7 @@ class CycleSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", CycleKind(self.kind))
         for name in ("B", "delta_c", "delta_h", "kappa", "T_M", "dT", "J", "T_floor"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            finite_number(getattr(self, name), name)
         if self.delta_h <= self.delta_c:
             raise ValueError(
                 f"delta_h = {self.delta_h:g} must exceed delta_c = {self.delta_c:g} "

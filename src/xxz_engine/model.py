@@ -175,11 +175,3 @@ def transition_table(eigen: EigenSystem, epsilon: float) -> TransitionTable:
         )
     return TransitionTable(entries=tuple(entries), epsilon=float(epsilon))
 
-
-def ground_state_index(eigen: EigenSystem) -> int:
-    """1-based index of the minimal-energy state; ties break to the lowest index."""
-    best = 1
-    for state in (2, 3, 4):
-        if eigen.energy(state) < eigen.energy(best):
-            best = state
-    return best

@@ -1,26 +1,36 @@
 """Deterministic grid sweeps over cycle parameters, plus figure presets.
 
-A sweep evaluates every grid point of up to two linearly spaced parameter
-axes for a selected set of cycles and emits one row per (point, cycle) in
-row-major order over the axes (first axis outermost, cycles innermost).
-Points are evaluated serially: the evaluation is pure Python and holds
-the interpreter lock, so a thread pool only made sweeps slower.
-``XXZ_ENGINE_THREADS`` is still validated but no longer changes anything.
-A point whose evaluation fails produces a row whose output cells carry
-``#ERR:<code>`` markers; the neighbors are unaffected.  A failure of the
-entropy production alone marks only the ``pi*`` cells.
+``COLUMNS`` maps each output column to how its value is read off an
+evaluated cycle; the output vocabulary, its shorthand groups, the figure
+panels and the ``cycle`` subcommand's row derive from it, and
+``cycle_cells`` is the one function that turns a spec into cells.  The
+``pi*`` columns cost two flux evaluations and are computed only when
+requested; a failure of the entropy production marks only them.
+
+A sweep evaluates every point of one or two linearly spaced axes (at most
+``MAX_GRID_POINTS``) for the selected cycles, one row per (point, cycle),
+row-major over the axes with cycles innermost.  Points run serially: the
+evaluation holds the interpreter lock, so a thread pool only made sweeps
+slower; ``XXZ_ENGINE_THREADS`` is validated but changes nothing.  A point
+whose evaluation fails gets ``#ERR:<code>`` cells; its neighbors do not.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 from .cycles import (
     CycleKind,
     CycleSpec,
     CycleResult,
+    StageState,
     cycle_result_from_stages,
+    finite_number,
     stage_entropy_production,
     stage_states,
 )
@@ -29,28 +39,58 @@ from .steady import SteadyStateError
 #: CycleSpec fields that may serve as sweep axes.
 AXIS_NAMES = ("B", "T_M", "dT", "delta_c", "delta_h", "kappa")
 
-_PI_COLUMNS = ("pi12", "pi34", "pi_total")
+#: Largest number of grid points a sweep accepts, checked before any is made.
+MAX_GRID_POINTS = 10**7
 
-_POPULATION_COLUMNS = tuple(
-    f"P{i}_{stage}" for stage in ("c", "h") for i in (1, 2, 3, 4)
-)
-_ENERGY_COLUMNS = tuple(
-    f"E{i}_{stage}" for stage in ("c", "h") for i in (1, 2, 3, 4)
-)
+
+class _Evaluated(NamedTuple):
+    """One evaluated cycle, which every output column is read from."""
+
+    stage_c: StageState
+    stage_h: StageState
+    result: CycleResult
+    pi12: float | str | None  # the pi* values are None unless requested
+    pi34: float | str | None
+    pi_total: float | str | None
+
+
+def _stage_value(path: str, i: int):
+    read = attrgetter(path)
+    return lambda evaluated: read(evaluated)[i - 1]
+
+
+#: Per-stage column groups: populations and energies of levels 1..4 at the
+#: end of stage 1-2 (``_c``) and of stage 3-4 (``_h``).
+_STAGE_GROUPS = {
+    f"{group}_{side}": {
+        f"{letter}{i}_{side}": _stage_value(f"stage_{side}.{path}", i) for i in (1, 2, 3, 4)
+    }
+    for group, letter, path in (("p", "P", "populations.p"), ("E", "E", "eigen.energies"))
+    for side in ("c", "h")
+}
+
+_HEATS_WORK_XI = ("q12", "q34", "w", "eta", "xi12", "xi34")
+_FLAGS = ("positive_work", "unity")
+_PI_COLUMNS = ("pi12", "pi34", "pi_total")
+_PI_SET = frozenset(_PI_COLUMNS)
+
+#: Every per-cycle output column, in output order, with how its value is
+#: read off an evaluated cycle.
+COLUMNS = {
+    **{name: attrgetter(f"result.{name}") for name in _HEATS_WORK_XI},
+    "xi_diff": lambda evaluated: evaluated.result.xi34 - evaluated.result.xi12,
+    **{name: attrgetter(f"result.{name}") for name in _FLAGS},
+    **{name: attrgetter(name) for name in _PI_COLUMNS},
+    **{name: read for group in _STAGE_GROUPS.values() for name, read in group.items()},
+}
 
 #: Every per-cycle output column a sweep can emit.
-OUTPUT_KEYS = (
-    "q12", "q34", "w", "eta", "xi12", "xi34", "xi_diff",
-    "positive_work", "unity",
-) + _PI_COLUMNS + _POPULATION_COLUMNS + _ENERGY_COLUMNS
+OUTPUT_KEYS = tuple(COLUMNS)
 
 #: Shorthand groups accepted in output selections.
 OUTPUT_GROUPS = {
-    "p_c": tuple(f"P{i}_c" for i in (1, 2, 3, 4)),
-    "p_h": tuple(f"P{i}_h" for i in (1, 2, 3, 4)),
-    "E_c": tuple(f"E{i}_c" for i in (1, 2, 3, 4)),
-    "E_h": tuple(f"E{i}_h" for i in (1, 2, 3, 4)),
-    "flags": ("positive_work", "unity"),
+    **{group: tuple(columns) for group, columns in _STAGE_GROUPS.items()},
+    "flags": _FLAGS,
 }
 
 
@@ -66,6 +106,14 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown sweep axis {self.name!r}; pick from {AXIS_NAMES}")
+        for key in ("start", "stop"):
+            value = finite_number(getattr(self, key), f"axis {self.name!r} {key}")
+            object.__setattr__(self, key, float(value))
+        count = self.count
+        integral = isinstance(count, int) or (isinstance(count, float) and count.is_integer())
+        if isinstance(count, bool) or not integral:
+            raise ValueError(f"axis {self.name!r} count must be an integer, got {count!r}")
+        object.__setattr__(self, "count", int(count))
         if self.count < 2:
             raise ValueError(f"axis {self.name!r} needs count >= 2, got {self.count}")
 
@@ -83,13 +131,17 @@ def expand_outputs(outputs) -> tuple[str, ...]:
     for key in outputs:
         if key in OUTPUT_GROUPS:
             resolved.extend(OUTPUT_GROUPS[key])
-        elif key in OUTPUT_KEYS:
+        elif key in COLUMNS:
             resolved.append(key)
         else:
             raise ValueError(f"unknown output column {key!r}")
     if not resolved:
         raise ValueError("output selection is empty")
     return tuple(resolved)
+
+
+#: Columns of the ``cycle`` subcommand's row, after its echo of the spec.
+CYCLE_COLUMNS = expand_outputs(_HEATS_WORK_XI + ("flags", "p_c", "p_h"))
 
 
 @dataclass(frozen=True)
@@ -107,6 +159,9 @@ class SweepConfig:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("axis parameter names must be unique")
+        points = math.prod(axis.count for axis in self.axes)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"the sweep grid has {points} points; the limit is {MAX_GRID_POINTS}")
         if not self.cycles:
             raise ValueError("at least one cycle kind is required")
         object.__setattr__(self, "cycles", tuple(CycleKind(c) for c in self.cycles))
@@ -115,12 +170,9 @@ class SweepConfig:
     def columns(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.axes) + ("cycle",) + self.outputs
 
-    def grid(self) -> list[tuple[float, ...]]:
-        """Axis-value tuples in row-major order (first axis outermost)."""
-        if len(self.axes) == 1:
-            return [(v,) for v in self.axes[0].values()]
-        outer, inner = self.axes[0].values(), self.axes[1].values()
-        return [(u, v) for u in outer for v in inner]
+    def grid(self):
+        """Iterator over axis-value tuples in row-major order (first axis outermost)."""
+        return itertools.product(*(axis.values() for axis in self.axes))
 
 
 @dataclass(frozen=True)
@@ -135,52 +187,31 @@ def _error_code(exc: Exception) -> str:
     return exc.code if isinstance(exc, SteadyStateError) else "DOMAIN"
 
 
-def _cycle_fields(spec: CycleSpec) -> dict:
-    """All canonical output fields for one (grid point, cycle) evaluation.
-
-    A failure of the entropy production only marks the ``pi*`` fields:
-    heats, work and populations do not depend on it.
-    """
-    stage_c, stage_h = stage_states(spec)
-    result: CycleResult = cycle_result_from_stages(spec, stage_c, stage_h)
-    fields = {
-        "q12": result.q12,
-        "q34": result.q34,
-        "w": result.w,
-        "eta": result.eta,
-        "xi12": result.xi12,
-        "xi34": result.xi34,
-        "xi_diff": result.xi34 - result.xi12,
-        "positive_work": result.positive_work,
-        "unity": result.unity,
-    }
+def _entropy_cells(stage_c: StageState, stage_h: StageState) -> tuple:
+    """(pi12, pi34, pi_total), or their ``#ERR`` markers if Pi alone fails."""
     try:
         pi12 = stage_entropy_production(stage_c)
         pi34 = stage_entropy_production(stage_h)
-        fields.update(pi12=pi12, pi34=pi34, pi_total=pi12 + pi34)
     except (ValueError, ArithmeticError) as exc:
-        fields.update(dict.fromkeys(_PI_COLUMNS, f"#ERR:{_error_code(exc)}"))
-    for i in (1, 2, 3, 4):
-        fields[f"P{i}_c"] = result.p_c.probability(i)
-        fields[f"P{i}_h"] = result.p_h.probability(i)
-        fields[f"E{i}_c"] = stage_c.eigen.energy(i)
-        fields[f"E{i}_h"] = stage_h.eigen.energy(i)
-    return fields
+        return (f"#ERR:{_error_code(exc)}",) * 3
+    return pi12, pi34, pi12 + pi34
 
 
-def _evaluate_point(config: SweepConfig, values: tuple[float, ...]) -> list[tuple]:
-    rows = []
-    overrides = dict(zip((a.name for a in config.axes), values))
-    for kind in config.cycles:
-        prefix = values + (kind.value,)
-        try:
-            spec = replace(config.base, kind=kind, **overrides)
-            fields = _cycle_fields(spec)
-            rows.append(prefix + tuple(fields[k] for k in config.outputs))
-        except (SteadyStateError, ValueError, ArithmeticError) as exc:
-            marker = f"#ERR:{_error_code(exc)}"
-            rows.append(prefix + (marker,) * len(config.outputs))
-    return rows
+def cycle_cells(spec: CycleSpec, columns: tuple[str, ...]) -> tuple:
+    """The cells of the output ``columns`` for one cycle evaluation, in order.
+
+    The entropy production is computed only when a ``pi*`` column is
+    requested, and its failure marks only the ``pi*`` cells: heats, work
+    and populations do not depend on it.
+    """
+    stage_c, stage_h = stage_states(spec)
+    result = cycle_result_from_stages(spec, stage_c, stage_h)
+    if not _PI_SET.isdisjoint(columns):
+        pi = _entropy_cells(stage_c, stage_h)
+    else:
+        pi = (None, None, None)
+    evaluated = _Evaluated(stage_c, stage_h, result, *pi)
+    return tuple([COLUMNS[name](evaluated) for name in columns])
 
 
 def worker_count() -> int:
@@ -198,9 +229,16 @@ def worker_count() -> int:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate the whole grid; rows in deterministic row-major order."""
     worker_count()
+    names = tuple(axis.name for axis in config.axes)
     rows: list[tuple] = []
     for values in config.grid():
-        rows.extend(_evaluate_point(config, values))
+        overrides = dict(zip(names, values))
+        for kind in config.cycles:
+            try:
+                cells = cycle_cells(replace(config.base, kind=kind, **overrides), config.outputs)
+            except (SteadyStateError, ValueError, ArithmeticError) as exc:
+                cells = (f"#ERR:{_error_code(exc)}",) * len(config.outputs)
+            rows.append(values + (kind.value,) + cells)
     return SweepTable(columns=config.columns(), rows=rows)
 
 
@@ -251,12 +289,20 @@ def _preset_base(T_M: float, dT: float) -> CycleSpec:
     )
 
 
-def _b_axis(count: int = 601) -> SweepAxis:
-    return SweepAxis(name="B", start=-3.0, stop=3.0, count=count)
+#: The B axis shared by every preset except fig5.
+_B_AXIS = SweepAxis(name="B", start=-3.0, stop=3.0, count=601)
 
 
-def _tm_key(T_M: float) -> str:
-    return f"tm{T_M:g}"
+def _per_temperature(name: str, cycles, outputs, leading) -> FigurePreset:
+    """One B sweep and one panel per preset mean temperature, at dT = 2 T_M."""
+    runs = []
+    for tm in _PRESET_MEAN_TEMPERATURES:
+        config = SweepConfig(
+            base=_preset_base(tm, 2.0 * tm), axes=(_B_AXIS,), cycles=cycles, outputs=outputs,
+        )
+        panel = FigurePanel(name=f"tm{tm:g}", columns=leading + outputs)
+        runs.append(FigureRun(key=panel.name, config=config, panels=(panel,)))
+    return FigurePreset(name=name, runs=tuple(runs))
 
 
 def figure_preset(name: str) -> FigurePreset:
@@ -266,56 +312,33 @@ def figure_preset(name: str) -> FigurePreset:
     parameters (delta_c = 0.10, delta_h = 0.99, kappa = 0.05, cold floor
     0.005, dT = 2 T_M except for the fig5 gradient axis) are fixed.
     """
+    asym, sym, qoc = CycleKind.GQOC_ASYM, CycleKind.GQOC_SYM, CycleKind.QOC
     if name == "fig2":
-        runs = []
-        for tm in _PRESET_MEAN_TEMPERATURES:
-            key = _tm_key(tm)
-            config = SweepConfig(
-                base=_preset_base(tm, 2.0 * tm),
-                axes=(_b_axis(),),
-                cycles=(CycleKind.GQOC_ASYM, CycleKind.GQOC_SYM, CycleKind.QOC),
-                outputs=("xi_diff", "w"),
-            )
-            panel = FigurePanel(name=key, columns=("B", "cycle", "xi_diff", "w"))
-            runs.append(FigureRun(key=key, config=config, panels=(panel,)))
-        return FigurePreset(name=name, runs=tuple(runs))
-
+        return _per_temperature(name, (asym, sym, qoc), ("xi_diff", "w"), ("B", "cycle"))
+    if name == "fig4":
+        return _per_temperature(name, (asym, qoc), ("w", "q12", "q34", "eta"), ("B", "cycle"))
+    if name == "figEP":
+        return _per_temperature(name, (asym,), ("pi12", "pi34", "pi_total"), ("B",))
     if name == "fig3":
         config = SweepConfig(
             base=_preset_base(1.2, 2.4),
-            axes=(_b_axis(),),
-            cycles=(CycleKind.GQOC_ASYM, CycleKind.GQOC_SYM, CycleKind.QOC),
+            axes=(_B_AXIS,),
+            cycles=(asym, sym, qoc),
             outputs=("w", "p_c", "p_h", "E_c", "E_h"),
         )
-        population_columns = ("B",) + tuple(
-            f"P{i}_{s}" for s in ("c", "h") for i in (1, 2, 3, 4)
-        )
+        population_columns = ("B",) + expand_outputs(("p_c", "p_h"))
         panels = (
             FigurePanel(name="work", columns=("B", "cycle", "w")),
             FigurePanel(
                 name="energies",
-                columns=("B",) + tuple(f"E{i}_{s}" for s in ("c", "h") for i in (1, 2, 3, 4)),
-                cycle=CycleKind.QOC,  # spectra do not depend on the cycle kind
+                columns=("B",) + expand_outputs(("E_c", "E_h")),
+                cycle=qoc,  # spectra do not depend on the cycle kind
             ),
-            FigurePanel(name="pop_gqoc_asym", columns=population_columns, cycle=CycleKind.GQOC_ASYM),
-            FigurePanel(name="pop_gqoc_sym", columns=population_columns, cycle=CycleKind.GQOC_SYM),
-            FigurePanel(name="pop_qoc", columns=population_columns, cycle=CycleKind.QOC),
+            FigurePanel(name="pop_gqoc_asym", columns=population_columns, cycle=asym),
+            FigurePanel(name="pop_gqoc_sym", columns=population_columns, cycle=sym),
+            FigurePanel(name="pop_qoc", columns=population_columns, cycle=qoc),
         )
         return FigurePreset(name=name, runs=(FigureRun(key="main", config=config, panels=panels),))
-
-    if name == "fig4":
-        runs = []
-        for tm in _PRESET_MEAN_TEMPERATURES:
-            key = _tm_key(tm)
-            config = SweepConfig(
-                base=_preset_base(tm, 2.0 * tm),
-                axes=(_b_axis(),),
-                cycles=(CycleKind.GQOC_ASYM, CycleKind.QOC),
-                outputs=("w", "q12", "q34", "eta"),
-            )
-            panel = FigurePanel(name=key, columns=("B", "cycle", "w", "q12", "q34", "eta"))
-            runs.append(FigureRun(key=key, config=config, panels=(panel,)))
-        return FigurePreset(name=name, runs=tuple(runs))
 
     if name == "fig5":
         config = SweepConfig(
@@ -324,7 +347,7 @@ def figure_preset(name: str) -> FigurePreset:
                 SweepAxis(name="B", start=-3.0, stop=3.0, count=241),
                 SweepAxis(name="dT", start=0.0, stop=12.0, count=121),
             ),
-            cycles=(CycleKind.GQOC_ASYM,),
+            cycles=(asym,),
             outputs=("w", "eta"),
         )
         panels = (
@@ -332,20 +355,6 @@ def figure_preset(name: str) -> FigurePreset:
             FigurePanel(name="efficiency", columns=("B", "dT", "eta")),
         )
         return FigurePreset(name=name, runs=(FigureRun(key="surface", config=config, panels=panels),))
-
-    if name == "figEP":
-        runs = []
-        for tm in _PRESET_MEAN_TEMPERATURES:
-            key = _tm_key(tm)
-            config = SweepConfig(
-                base=_preset_base(tm, 2.0 * tm),
-                axes=(_b_axis(),),
-                cycles=(CycleKind.GQOC_ASYM,),
-                outputs=("pi12", "pi34", "pi_total"),
-            )
-            panel = FigurePanel(name=key, columns=("B", "pi12", "pi34", "pi_total"))
-            runs.append(FigureRun(key=key, config=config, panels=(panel,)))
-        return FigurePreset(name=name, runs=tuple(runs))
 
     raise ValueError(f"unknown figure preset {name!r}; pick from {FIGURE_NAMES}")
 

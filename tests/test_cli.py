@@ -13,7 +13,8 @@ from xxz_engine.cli import (
     sweep_config_from_dict,
     sweep_config_to_dict,
 )
-from xxz_engine import figure_preset
+from xxz_engine import CycleKind, CycleSpec, SweepAxis, SweepConfig, figure_preset, run_sweep
+from xxz_engine.sweep import OUTPUT_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -199,14 +200,57 @@ def test_sweep_config_errors_exit_2(tmp_path, capsys):
     extra_axis = dict(good, axes=[dict(good["axes"][0], extra=1)])
     fractional = dict(good, axes=[dict(good["axes"][0], count=3.7)])
     not_object = dict(good, axes=[5])
+    bool_kappa = dict(good, base=dict(good["base"], kappa=True))
+    bool_delta = dict(good, base=dict(good["base"], delta_c=False))
+    str_start = dict(good, axes=[dict(good["axes"][0], start="-1")])
+    bool_stop = dict(good, axes=[dict(good["axes"][0], stop=True)])
+    str_outputs = dict(good, outputs="w")
+    str_cycles = dict(good, cycles="qoc")
+    str_base = dict(good, base="x")
+    huge_kappa = json.dumps(good).replace('"kappa": 0.05', '"kappa": 1' + "0" * 400)
     for doc, named in (
         (extra_top, "extra"), (extra_axis, "extra"), (fractional, "3.7"), (not_object, "5"),
+        (bool_kappa, "kappa"), (bool_delta, "delta_c"), (str_start, "start"),
+        (bool_stop, "stop"), (str_outputs, "outputs"), (str_cycles, "cycles"),
+        (str_base, "base"), (json.loads(huge_kappa), "kappa"),
     ):
         bad.write_text(json.dumps(doc))
         status, out, err = run_cli(capsys, "sweep", "--config", str(bad))
         assert status == 2
         assert out == ""
         assert named in err
+
+
+def test_sweep_grid_is_capped_before_evaluation():
+    good = sweep_config_to_dict(figure_preset("fig2").runs[0].config)
+    huge = [
+        dict(good["axes"][0], count=100_000),
+        {"name": "T_M", "start": 0.21, "stop": 6.0, "count": 100_000},
+    ]
+    with pytest.raises(ValueError, match="10000000000 points"):
+        sweep_config_from_dict(dict(good, axes=huge))
+
+
+@pytest.mark.parametrize("kind", [k.value for k in CycleKind])
+def test_cycle_row_matches_sweep_row(capsys, kind):
+    status, out, _ = run_cli(
+        capsys, "cycle", "--kind", kind, "--B", "0.5", "--delta-c", "0.10",
+        "--delta-h", "0.99", "--kappa", "0.05", "--tm", "1.2", "--dt", "2.4",
+    )
+    assert status == 0
+    header, rows = parse_csv(out)
+    cycle_row = dict(zip(header, rows[0]))
+    base = CycleSpec(kind=kind, B=0.5, delta_c=0.10, delta_h=0.99, kappa=0.05, T_M=1.2, dT=2.4)
+    table = run_sweep(SweepConfig(
+        base=base,
+        axes=(SweepAxis(name="B", start=0.5, stop=1.5, count=2),),
+        cycles=(kind,),
+        outputs=OUTPUT_KEYS,
+    ))
+    sweep_row = dict(zip(table.columns, (format_cell(v) for v in table.rows[0])))
+    shared = set(cycle_row) & set(sweep_row)
+    assert shared >= {"B", "q12", "w", "eta", "positive_work", "P4_h"}
+    assert {k: cycle_row[k] for k in shared} == {k: sweep_row[k] for k in shared}
 
 
 def test_figure_writes_panel_files(tmp_path, capsys):

@@ -106,15 +106,15 @@ def test_invalid_points_become_error_rows():
 
 
 def test_failed_point_does_not_disturb_neighbors(monkeypatch):
-    real = sweep_module._cycle_fields
+    real = sweep_module.cycle_cells
 
-    def flaky(spec):
+    def flaky(spec, columns):
         if spec.B == 0.0:
             raise RuntimeError("injected")
-        return real(spec)
+        return real(spec, columns)
 
     clean = run_sweep(small_config(cycles=(CycleKind.QOC,)))
-    monkeypatch.setattr(sweep_module, "_cycle_fields", flaky)
+    monkeypatch.setattr(sweep_module, "cycle_cells", flaky)
     with pytest.raises(RuntimeError):
         run_sweep(small_config(cycles=(CycleKind.QOC,)))
 
@@ -125,12 +125,12 @@ def test_failed_point_does_not_disturb_neighbors(monkeypatch):
         (NonUniqueSteadyStateError, "NONUNIQUE"),
         (ClosedFormInapplicableError, "CLOSEDFORM"),
     ):
-        def marked(spec, error=error):
+        def marked(spec, columns, error=error):
             if spec.B == 0.0:
                 raise error("injected")
-            return real(spec)
+            return real(spec, columns)
 
-        monkeypatch.setattr(sweep_module, "_cycle_fields", marked)
+        monkeypatch.setattr(sweep_module, "cycle_cells", marked)
         table = run_sweep(small_config(cycles=(CycleKind.QOC,)))
         assert table.rows[2][2:] == (f"#ERR:{code}",) * 2
         for good, row in zip(clean.rows[:2] + clean.rows[3:], table.rows[:2] + table.rows[3:]):
@@ -156,6 +156,16 @@ def test_entropy_failure_marks_only_pi_cells():
             continue
         assert w == evaluate_cycle(replace(base, B=B)).w
         assert pi12 == "#ERR:DOMAIN"
+
+
+def test_entropy_production_only_computed_when_requested(monkeypatch):
+    clean = run_sweep(small_config(outputs=("w", "eta", "p_c", "E_h", "flags")))
+
+    def forbidden(stage):
+        raise AssertionError("entropy production computed for a sweep without pi* columns")
+
+    monkeypatch.setattr(sweep_module, "stage_entropy_production", forbidden)
+    assert run_sweep(small_config(outputs=("w", "eta", "p_c", "E_h", "flags"))).rows == clean.rows
 
 
 def test_schedule_independence(monkeypatch):
