@@ -9,7 +9,6 @@ deterministic parameter-sweep engine with figure presets.
 
 from .baths import (
     BathParams,
-    PairRates,
     RateSet,
     bose_occupation,
     transition_rates,
@@ -50,7 +49,6 @@ from .model import (
     EigenSystem,
     SystemParams,
     Transition,
-    TransitionTable,
     eigenenergies,
     hamiltonian_matrix,
     transition_table,

@@ -1,8 +1,9 @@
 """Thermal reservoirs and dissipator rates.
 
 Both reservoirs are ohmic, J(omega) = kappa * omega, with dimensionless
-coupling kappa.  For a canonical transition (upper, lower) with gap omega
-and per-side weight w, the emission and absorption rates are
+coupling kappa.  For a transition (upper, lower) of the table with gap
+omega and per-side weight w, the emission (upper -> lower) and absorption
+(lower -> upper) rates are
 
     gamma_e = w * kappa * omega * (1 + n(omega, T)),
     gamma_a = w * kappa * omega * n(omega, T),
@@ -11,7 +12,8 @@ with n the Bose occupation of the reservoir.  Degenerate pairs
 (omega -> 0) use the analytic limit gamma_e = gamma_a = w * kappa * T
 instead of evaluating 0 * inf.  The weak-coupling (Markov) treatment
 behind these rates is only trustworthy for small kappa, so construction
-warns above KAPPA_WARN.
+warns above KAPPA_WARN.  A stage's rates are a ``RateSet``, one 4x4
+jump-rate matrix per reservoir, so no consumer needs the pair orientation.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import Transition, TransitionTable
+from .model import Transition
 
 #: Above this coupling the Born-Markov rates are no longer trustworthy.
 KAPPA_WARN = 0.2
@@ -52,15 +55,14 @@ def bose_occupation(omega: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class BathParams:
-    """Reservoir temperatures, ohmic coupling and coupling asymmetry."""
+    """Reservoir temperatures and ohmic coupling."""
 
     T_L: float
     T_R: float
     kappa: float
-    epsilon: float
 
     def __post_init__(self):
-        for name in ("T_L", "T_R", "kappa", "epsilon"):
+        for name in ("T_L", "T_R", "kappa"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -68,8 +70,6 @@ class BathParams:
             raise ValueError("temperatures must be >= 0")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa:g}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon:g}")
         if self.kappa > KAPPA_WARN:
             warnings.warn(
                 f"kappa = {self.kappa:g} exceeds {KAPPA_WARN:g}; the weak-coupling "
@@ -78,62 +78,16 @@ class BathParams:
             )
 
 
-@dataclass(frozen=True)
-class PairRates:
-    """Emission/absorption rates of one canonical pair, per reservoir side.
+class RateSet(NamedTuple):
+    """Jump rates of one (system, baths) configuration, per reservoir.
 
-    Emission moves population upper -> lower, absorption lower -> upper.
-    ``emission_total`` and ``absorption_total`` cache the side sums (the
-    E_ij and A_ij aggregates used by the closed-form steady state).
+    ``left[r][c]`` is the rate of the jump from state c+1 to state r+1
+    driven by the left reservoir, ``right`` likewise; the diagonal and the
+    dark pairs (1,2)/(3,4) are 0.
     """
 
-    pair: tuple[int, int]
-    upper: int
-    lower: int
-    omega: float
-    degenerate: bool
-    emission_L: float
-    absorption_L: float
-    emission_R: float
-    absorption_R: float
-    emission_total: float
-    absorption_total: float
-
-    @classmethod
-    def build(
-        cls,
-        transition: Transition,
-        emission_L: float,
-        absorption_L: float,
-        emission_R: float,
-        absorption_R: float,
-    ) -> "PairRates":
-        return cls(
-            pair=transition.pair,
-            upper=transition.upper,
-            lower=transition.lower,
-            omega=transition.omega,
-            degenerate=transition.degenerate,
-            emission_L=emission_L,
-            absorption_L=absorption_L,
-            emission_R=emission_R,
-            absorption_R=absorption_R,
-            emission_total=emission_L + emission_R,
-            absorption_total=absorption_L + absorption_R,
-        )
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """All rates for one (system, baths) configuration, in COUPLED_PAIRS order."""
-
-    entries: tuple[PairRates, PairRates, PairRates, PairRates]
-
-    def entry(self, pair: tuple[int, int]) -> PairRates:
-        for rates in self.entries:
-            if rates.pair == pair:
-                return rates
-        raise KeyError(f"no such coupled pair: {pair}")
+    left: tuple[tuple[float, ...], ...]
+    right: tuple[tuple[float, ...], ...]
 
 
 def _side_rates(weight: float, kappa: float, omega: float, degenerate: bool, T: float):
@@ -145,18 +99,18 @@ def _side_rates(weight: float, kappa: float, omega: float, degenerate: bool, T: 
     return scale * (1.0 + n), scale * n
 
 
-def transition_rates(table: TransitionTable, baths: BathParams) -> RateSet:
-    """Emission/absorption rates for every coupled pair and both reservoirs."""
-    entries = []
-    for transition in table.entries:
-        e_l, a_l = _side_rates(
-            transition.left_weight, baths.kappa, transition.omega,
-            transition.degenerate, baths.T_L,
-        )
-        e_r, a_r = _side_rates(
-            transition.right_weight, baths.kappa, transition.omega,
-            transition.degenerate, baths.T_R,
-        )
-        entries.append(PairRates.build(transition, e_l, a_l, e_r, a_r))
-    return RateSet(entries=tuple(entries))
+def transition_rates(table: tuple[Transition, ...], baths: BathParams) -> RateSet:
+    """Jump-rate matrices of both reservoirs from the transition table.
 
+    Each transition (u, l) puts its emission rate at [l][u] and its
+    absorption rate at [u][l]; every other entry stays 0.
+    """
+    left = [[0.0] * 4 for _ in range(4)]
+    right = [[0.0] * 4 for _ in range(4)]
+    for t in table:
+        u, l = t.upper - 1, t.lower - 1
+        left[l][u], left[u][l] = _side_rates(t.left_weight, baths.kappa, t.omega,
+                                              t.degenerate, baths.T_L)
+        right[l][u], right[u][l] = _side_rates(t.right_weight, baths.kappa, t.omega,
+                                                t.degenerate, baths.T_R)
+    return RateSet(left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))

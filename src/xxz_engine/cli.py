@@ -121,33 +121,34 @@ def _spec_from_args(args) -> CycleSpec:
 
 
 def _rates_from_args(args):
+    """(transition table, rates) of the system and baths on the command line."""
     epsilon = _check_epsilon(args.epsilon, args.allow_any_epsilon)
     eigen = eigenenergies(SystemParams(B=args.B, J=args.J, delta=args.delta))
     table = transition_table(eigen, epsilon)
-    baths = BathParams(T_L=args.TL, T_R=args.TR, kappa=args.kappa, epsilon=epsilon)
-    return eigen, transition_rates(table, baths)
+    baths = BathParams(T_L=args.TL, T_R=args.TR, kappa=args.kappa)
+    return table, transition_rates(table, baths)
 
 
 def _cmd_eigensystem(args, out) -> int:
     eigen = eigenenergies(SystemParams(B=args.B, J=args.J, delta=args.delta))
     table = transition_table(eigen, 0.0)  # gaps do not depend on epsilon
     columns = ("E1", "E2", "E3", "E4", "omega13", "omega14", "omega23", "omega24")
-    row = eigen.energies + tuple(t.omega for t in table.entries)
+    row = eigen.energies + tuple(t.omega for t in table)
     out.write(render_table(columns, [row]))
     return 0
 
 
 def _cmd_rates(args, out) -> int:
-    _, rates = _rates_from_args(args)
+    table, (left, right) = _rates_from_args(args)
     columns = ("pair", "upper", "lower", "omega", "degenerate",
                "emission_L", "absorption_L", "emission_R", "absorption_R",
                "emission_total", "absorption_total")
-    rows = [
-        (f"{e.pair[0]}-{e.pair[1]}", e.upper, e.lower, e.omega, e.degenerate,
-         e.emission_L, e.absorption_L, e.emission_R, e.absorption_R,
-         e.emission_total, e.absorption_total)
-        for e in rates.entries
-    ]
+    rows = []
+    for t in table:
+        u, l = t.upper - 1, t.lower - 1
+        rows.append((f"{t.pair[0]}-{t.pair[1]}", t.upper, t.lower, t.omega, t.degenerate,
+                     left[l][u], left[u][l], right[l][u], right[u][l],
+                     left[l][u] + right[l][u], left[u][l] + right[u][l]))
     out.write(render_table(columns, rows))
     return 0
 

@@ -132,7 +132,7 @@ def _gqoc_stage(
 ) -> StageState:
     eigen = eigenenergies(params)
     table = transition_table(eigen, epsilon)
-    rates = transition_rates(table, BathParams(T_L=T_L, T_R=T_R, kappa=kappa, epsilon=epsilon))
+    rates = transition_rates(table, BathParams(T_L=T_L, T_R=T_R, kappa=kappa))
     return StageState(
         eigen=eigen,
         populations=steady_state_solve(rates),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import RateSet
-from .model import EigenSystem
+from .model import COUPLED_PAIRS, EigenSystem
 from .steady import PopulationVector, generator_matrix, steady_state_solve
 
 #: Stability guard for the fixed-step integrator: reject dt * max|M_ii| above this.
@@ -29,6 +29,10 @@ STABILITY_LIMIT = 0.1
 
 #: Snapshot entries in (-CLIP_NEGATIVE, 0) are integration roundoff; clip to 0.
 CLIP_NEGATIVE = 1e-14
+
+
+#: The bath-coupled pairs as 0-based state indices.
+_PAIRS = tuple((i - 1, j - 1) for i, j in COUPLED_PAIRS)
 
 
 class IntegrationStabilityError(ValueError):
@@ -80,20 +84,21 @@ def heat_currents(
 ) -> tuple[float, float]:
     """Heat current from each reservoir into the system.
 
-    Per pair and side, the net downhill flux is
-    Gamma = gamma_e * P_upper - gamma_a * P_lower, and each downhill event
-    releases the gap energy to the reservoir, so
-    Qdot_nu = sum_pairs (E_lower - E_upper) * Gamma_nu.  Requires the
-    RateSet and EigenSystem to come from the same system parameters.
+    Per coupled pair (i, j) and side, with k that side's jump-rate matrix,
+    the net flux i -> j is k[j][i] P_i - k[i][j] P_j, and each jump i -> j
+    takes E_i - E_j from the system into the reservoir, so
+    Qdot_nu = sum_pairs (E_j - E_i) * (k[j][i] P_i - k[i][j] P_j).
+    Requires the RateSet and EigenSystem to come from the same system
+    parameters.
     """
+    left, right = rates
+    energies, p = eigen.energies, populations.p
     q_left = 0.0
     q_right = 0.0
-    for entry in rates.entries:
-        p_up = populations.probability(entry.upper)
-        p_lo = populations.probability(entry.lower)
-        drop = eigen.energy(entry.lower) - eigen.energy(entry.upper)
-        q_left += drop * (entry.emission_L * p_up - entry.absorption_L * p_lo)
-        q_right += drop * (entry.emission_R * p_up - entry.absorption_R * p_lo)
+    for i, j in _PAIRS:
+        gain = energies[j] - energies[i]
+        q_left += gain * (left[j][i] * p[i] - left[i][j] * p[j])
+        q_right += gain * (right[j][i] * p[i] - right[i][j] * p[j])
     return q_left, q_right
 
 

@@ -15,8 +15,10 @@ Only the level pairs (1,3), (1,4), (2,3), (2,4) carry a sigma_x matrix
 element, so only those four transitions couple to the bosonic reservoirs;
 (1,2) and (3,4) are dark.  This module provides the parameter and spectrum
 types, the 4x4 matrix in the product basis (used as an independent
-diagonalization oracle), and the canonical transition table consumed by the
-bath/rate machinery.
+diagonalization oracle), and the transition table: one ``Transition`` per
+coupled pair, in ``COUPLED_PAIRS`` order, holding the gap, its energy
+orientation and the per-reservoir coupling weights.  ``baths`` turns the
+table into the two 4x4 jump-rate matrices every later stage reads.
 """
 
 from __future__ import annotations
@@ -95,17 +97,6 @@ class Transition:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """The four coupled pairs, in the fixed order of ``COUPLED_PAIRS``."""
-
-    entries: tuple[Transition, Transition, Transition, Transition]
-    epsilon: float
-
-    def entry(self, pair: tuple[int, int]) -> Transition:
-        return self.entries[COUPLED_PAIRS.index(pair)]
-
-
 def eigenenergies(params: SystemParams) -> EigenSystem:
     """Closed-form eigenenergies of the XXZ Hamiltonian."""
     B, J, delta = params.B, params.J, params.delta
@@ -135,8 +126,10 @@ def hamiltonian_matrix(params: SystemParams) -> np.ndarray:
     return h
 
 
-def transition_table(eigen: EigenSystem, epsilon: float) -> TransitionTable:
-    """Canonical table of the four bath-coupled transitions.
+def transition_table(
+    eigen: EigenSystem, epsilon: float
+) -> tuple[Transition, Transition, Transition, Transition]:
+    """The four bath-coupled transitions, in ``COUPLED_PAIRS`` order.
 
     ``epsilon`` is the coupling-asymmetry parameter: the left reservoir
     couples through sigma_x(1) + epsilon * sigma_x(2), giving left weights
@@ -154,7 +147,7 @@ def transition_table(eigen: EigenSystem, epsilon: float) -> TransitionTable:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon:g}")
 
-    entries = []
+    table = []
     for i, j in COUPLED_PAIRS:
         gap = eigen.energy(i) - eigen.energy(j)
         if gap >= 0.0:
@@ -162,7 +155,7 @@ def transition_table(eigen: EigenSystem, epsilon: float) -> TransitionTable:
         else:
             upper, lower, omega = j, i, -gap
         left = 0.5 * (epsilon - 1.0) ** 2 if j == 3 else 0.5 * (epsilon + 1.0) ** 2
-        entries.append(
+        table.append(
             Transition(
                 pair=(i, j),
                 upper=upper,
@@ -173,5 +166,5 @@ def transition_table(eigen: EigenSystem, epsilon: float) -> TransitionTable:
                 degenerate=omega < OMEGA_EPS,
             )
         )
-    return TransitionTable(entries=tuple(entries), epsilon=float(epsilon))
+    return tuple(table)
 

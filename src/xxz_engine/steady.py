@@ -10,12 +10,18 @@ Three routes, kept deliberately independent so they can cross-validate:
 * ``gibbs_state`` -- thermal populations, the exact stationary state
   whenever both reservoirs share one temperature.
 
+The first two read the jump rates off the generator rows, the sum of the
+``RateSet``'s left and right matrices with the diagonal set so that every
+column sums to zero: the rate of the jump i -> j is ``m[j-1][i-1]``.
+
 Populations in deeply gapped, low-temperature configurations span hundreds
 of orders of magnitude.  The matrix-tree formula writes each one as a sum
 of products of nonnegative rates, with no subtraction anywhere, so even
 ~1e-90 occupations keep relative (not just absolute) accuracy.  Heat
 currents and entropy production inherit their sign from those tiny
-components, so this matters.
+components, so this matters.  The stationarity residual of a solution is
+checked relative to the largest rate, and a rate that overflowed to a
+non-finite value is reported as a numerical failure.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .model import EigenSystem
 #: Slack on the [0, 1] range and on the sum-to-one constraint.
 POPULATION_ATOL = 1e-12
 
-#: Acceptable stationarity residual max|M P| of a returned steady state.
+#: Acceptable stationarity residual max|M P| of a returned steady state,
+#: relative to the largest jump rate.
 RESIDUAL_TOL = 1e-12
 
 #: Denominator floor below which the closed-form expressions are meaningless.
@@ -107,12 +114,9 @@ class RateGenerator:
 
 
 def _generator_rows(rates: RateSet) -> list[list[float]]:
-    """Generator rows as plain floats; columns compensated to sum to zero."""
-    m = [[0.0] * 4 for _ in range(4)]
-    for entry in rates.entries:
-        u, l = entry.upper - 1, entry.lower - 1
-        m[l][u] += entry.emission_total
-        m[u][l] += entry.absorption_total
+    """Generator rows as plain floats: left + right, with the diagonal
+    compensated so every column sums to zero."""
+    m = [[a + b for a, b in zip(*rows)] for rows in zip(rates.left, rates.right)]
     for col in range(4):
         off = 0.0
         for row in range(4):
@@ -128,11 +132,9 @@ def _generator_rows(rates: RateSet) -> list[list[float]]:
 
 
 def generator_matrix(rates: RateSet) -> RateGenerator:
-    """Assemble the Pauli generator from per-pair emission/absorption totals.
-
-    Each canonical pair (u, l) contributes emission u -> l and absorption
-    l -> u; the diagonal is set to the negated off-diagonal column sum so
-    the column sums vanish to the last bit.
+    """Assemble the Pauli generator: the off-diagonal entries are the jump
+    rates of both reservoirs summed, and the diagonal is the negated
+    off-diagonal column sum, so the column sums vanish to the last bit.
     """
     return RateGenerator(matrix=np.array(_generator_rows(rates)))
 
@@ -153,13 +155,15 @@ def steady_state_solve(rates: RateSet) -> PopulationVector:
     largest one first so the products cannot overflow.  Raises
     ``NonUniqueSteadyStateError`` when every tree weight vanishes (e.g. all
     rates zero, or a level graph that splits into disconnected pieces at
-    zero temperature) or the result fails the stationarity residual.
+    zero temperature), and ``SteadyStateError`` when a rate is not finite or
+    the result fails the stationarity residual relative to the largest rate.
     """
     m = _generator_rows(rates)
     # k(c -> r) = m[r][c]; fwd[x] leaves _CYCLE[x] forward, back[x] backward.
     fwd = [m[_CYCLE[(x + 1) % 4]][_CYCLE[x]] for x in range(4)]
     back = [m[_CYCLE[x - 1]][_CYCLE[x]] for x in range(4)]
-    scale = max(fwd + back)
+    edges = fwd + back
+    scale = max(edges)
     weights = [0.0] * 4
     if scale > 0.0:
         fwd = [k / scale for k in fwd]
@@ -173,39 +177,25 @@ def steady_state_solve(rates: RateSet) -> PopulationVector:
             weights[_CYCLE[x]] = f1 * f2 * f3 + b1 * f2 * f3 + b1 * b2 * f3 + b1 * b2 * b3
     total = sum(weights)
     if not total > 0.0:
+        # a non-finite rate makes the total NaN, so it always lands here
+        for k in edges:
+            if not math.isfinite(k):
+                raise SteadyStateError(
+                    f"jump rate {k!r} is not finite: the rates overflow a float"
+                )
         raise NonUniqueSteadyStateError(
             "every spanning-tree weight vanishes (disconnected or rate-free "
             "level graph)"
         )
     p = [w / total for w in weights]
     residual = max(abs(sum(m[r][c] * p[c] for c in range(4))) for r in range(4))
-    if residual > RESIDUAL_TOL:
-        raise NonUniqueSteadyStateError(
-            f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL:g}; "
-            "the steady state is not uniquely determined"
+    if residual > RESIDUAL_TOL * scale:
+        # the positive tree-weight sum already proves the state unique
+        raise SteadyStateError(
+            f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL:g} "
+            f"times the largest rate {scale:.3e}"
         )
     return PopulationVector(p=(p[0], p[1], p[2], p[3]))
-
-
-def _directed_aggregates(rates: RateSet):
-    """Map canonical rates onto downhill/uphill flows in fixed pair labels.
-
-    Returns (E, A) keyed by pair (i, j) with i in {1,2}, j in {3,4}:
-    E[(i,j)] is the total rate carrying population i -> j and A[(i,j)] the
-    reverse.  When the pair is inverted (state j above state i) the roles
-    of emission and absorption swap.
-    """
-    e_flow = {}
-    a_flow = {}
-    for entry in rates.entries:
-        i, j = entry.pair
-        if entry.upper == i:
-            e_flow[(i, j)] = entry.emission_total
-            a_flow[(i, j)] = entry.absorption_total
-        else:
-            e_flow[(i, j)] = entry.absorption_total
-            a_flow[(i, j)] = entry.emission_total
-    return e_flow, a_flow
 
 
 def steady_state_closed_form(rates: RateSet) -> PopulationVector:
@@ -218,17 +208,15 @@ def steady_state_closed_form(rates: RateSet) -> PopulationVector:
         P2/P3 = (A23 r1 + A24 r2) / (r1 (E23 + E24)),
         P4/P3 = r2 / r1,
 
-    with E_ij/A_ij the total downhill/uphill rates between states i and j
-    in the fixed (i in {1,2}, j in {3,4}) labeling.  Raises
+    with E_ij the total rate of the jump i -> j and A_ij that of j -> i, in
+    the fixed (i in {1,2}, j in {3,4}) labeling.  Raises
     ``ClosedFormInapplicableError`` whenever a denominator falls below
     ``_CLOSED_FORM_FLOOR`` (frozen reservoirs can underflow entire
     aggregates to zero); callers then fall back to ``steady_state_solve``.
     """
-    e_flow, a_flow = _directed_aggregates(rates)
-    e13, e14 = e_flow[(1, 3)], e_flow[(1, 4)]
-    e23, e24 = e_flow[(2, 3)], e_flow[(2, 4)]
-    a13, a14 = a_flow[(1, 3)], a_flow[(1, 4)]
-    a23, a24 = a_flow[(2, 3)], a_flow[(2, 4)]
+    m = _generator_rows(rates)  # E_ij = k(i -> j) = m[j][i], A_ij = m[i][j]
+    e13, e14, e23, e24 = m[2][0], m[3][0], m[2][1], m[3][1]
+    a13, a14, a23, a24 = m[0][2], m[0][3], m[1][2], m[1][3]
 
     out1 = e13 + e14  # total outflow of state 1
     out2 = e23 + e24

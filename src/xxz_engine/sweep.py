@@ -162,6 +162,9 @@ class SweepConfig:
         points = math.prod(axis.count for axis in self.axes)
         if points > MAX_GRID_POINTS:
             raise ValueError(f"the sweep grid has {points} points; the limit is {MAX_GRID_POINTS}")
+        for name in ("cycles", "outputs"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"sweep {name} must be a sequence of names, not a string")
         if not self.cycles:
             raise ValueError("at least one cycle kind is required")
         object.__setattr__(self, "cycles", tuple(CycleKind(c) for c in self.cycles))

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, settings
 
 from xxz_engine import (
     BathParams,
-    PairRates,
     RateSet,
     SystemParams,
     eigenenergies,
@@ -29,7 +28,7 @@ def build_rates(B, delta, T_L, T_R, kappa=0.05, epsilon=1.0, J=1.0):
     """(eigen, rates) for one system/bath configuration."""
     eigen = eigenenergies(SystemParams(B=B, J=J, delta=delta))
     table = transition_table(eigen, epsilon)
-    baths = BathParams(T_L=T_L, T_R=T_R, kappa=kappa, epsilon=epsilon)
+    baths = BathParams(T_L=T_L, T_R=T_R, kappa=kappa)
     return eigen, transition_rates(table, baths)
 
 
@@ -37,31 +36,17 @@ def synthetic_rates(**per_pair):
     """RateSet with hand-picked rates; unmentioned pairs get all-zero rates.
 
     Keys are pair labels like ``p13``; values are dicts with any of
-    upper, lower, omega, eL, aL, eR, aR.
+    upper, lower, eL, aL, eR, aR.  Emission moves population upper -> lower,
+    absorption lower -> upper; (upper, lower) defaults to the pair (i, j).
     """
-    entries = []
+    left = [[0.0] * 4 for _ in range(4)]
+    right = [[0.0] * 4 for _ in range(4)]
     for i, j in ((1, 3), (1, 4), (2, 3), (2, 4)):
         given = per_pair.get(f"p{i}{j}", {})
-        e_l = given.get("eL", 0.0)
-        a_l = given.get("aL", 0.0)
-        e_r = given.get("eR", 0.0)
-        a_r = given.get("aR", 0.0)
-        entries.append(
-            PairRates(
-                pair=(i, j),
-                upper=given.get("upper", i),
-                lower=given.get("lower", j),
-                omega=given.get("omega", 1.0),
-                degenerate=False,
-                emission_L=e_l,
-                absorption_L=a_l,
-                emission_R=e_r,
-                absorption_R=a_r,
-                emission_total=e_l + e_r,
-                absorption_total=a_l + a_r,
-            )
-        )
-    return RateSet(entries=tuple(entries))
+        u, l = given.get("upper", i) - 1, given.get("lower", j) - 1
+        left[l][u], left[u][l] = given.get("eL", 0.0), given.get("aL", 0.0)
+        right[l][u], right[u][l] = given.get("eR", 0.0), given.get("aR", 0.0)
+    return RateSet(left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))
 
 
 @pytest.fixture

@@ -54,7 +54,7 @@ def test_pure_decay_releases_gap_energy():
     # single pair (1,3), emission 1 split evenly over the sides, gap 0.1
     from xxz_engine import SystemParams, eigenenergies
 
-    rates = synthetic_rates(p13=dict(eL=0.5, eR=0.5, omega=0.1))
+    rates = synthetic_rates(p13=dict(eL=0.5, eR=0.5))
     eigen = eigenenergies(SystemParams(B=1.0, J=1.0, delta=0.10))  # E1 - E3 = 0.1
     excited = PopulationVector(p=(1.0, 0.0, 0.0, 0.0))
     q_l, q_r = heat_currents(rates, excited, eigen)

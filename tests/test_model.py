@@ -90,10 +90,10 @@ def test_energy_sum_and_gap_identities(B, J, delta):
 def test_transition_table_canonical_orientation():
     eigen = eigenenergies(SystemParams(B=1.0, J=1.0, delta=0.10))
     table = transition_table(eigen, 1.0)
-    t13 = table.entry((1, 3))
+    t13, t14, _, _ = table
     assert (t13.upper, t13.lower) == (1, 3)
     assert t13.omega == pytest.approx(0.10, abs=1e-14)
-    t14 = table.entry((1, 4))  # E1 < E4 here, so the stored orientation flips
+    # E1 < E4 here, so the stored orientation flips
     assert (t14.upper, t14.lower) == (4, 1)
     assert t14.omega == pytest.approx(1.90, abs=1e-14)
 
@@ -101,12 +101,13 @@ def test_transition_table_canonical_orientation():
 def test_left_weights():
     eigen = eigenenergies(SystemParams(B=0.5, J=1.0, delta=0.10))
     asym = transition_table(eigen, 1.0)
-    assert asym.entry((1, 3)).left_weight == 0.0
-    assert asym.entry((2, 3)).left_weight == 0.0
-    assert asym.entry((1, 4)).left_weight == 2.0
-    assert asym.entry((2, 4)).left_weight == 2.0
+    t13, t14, t23, t24 = asym
+    assert t13.left_weight == 0.0
+    assert t23.left_weight == 0.0
+    assert t14.left_weight == 2.0
+    assert t24.left_weight == 2.0
     sym = transition_table(eigen, 0.0)
-    for entry in sym.entries:
+    for entry in sym:
         assert entry.left_weight == 0.5
         assert entry.right_weight == 0.5
 
@@ -114,8 +115,8 @@ def test_left_weights():
 @given(finite_fields, couplings, finite_deltas, st.sampled_from([0.0, 1.0]))
 def test_table_gaps_nonnegative_and_pairs_fixed(B, J, delta, epsilon):
     table = transition_table(eigenenergies(SystemParams(B=B, J=J, delta=delta)), epsilon)
-    assert tuple(t.pair for t in table.entries) == COUPLED_PAIRS
-    for entry in table.entries:
+    assert tuple(t.pair for t in table) == COUPLED_PAIRS
+    for entry in table:
         assert entry.omega >= 0.0
         assert {entry.upper, entry.lower} == set(entry.pair)
 
@@ -124,8 +125,9 @@ def test_degenerate_flag_at_level_crossing():
     # B = delta + J puts E1 exactly on E3
     eigen = eigenenergies(SystemParams(B=1.10, J=1.0, delta=0.10))
     table = transition_table(eigen, 1.0)
-    assert table.entry((1, 3)).degenerate
-    assert not table.entry((2, 3)).degenerate
+    t13, _, t23, _ = table
+    assert t13.degenerate
+    assert not t23.degenerate
 
 
 def test_ground_state_index():

@@ -1,16 +1,22 @@
 """Generator assembly, steady-state solver/closed-form/Gibbs cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from xxz_engine import (
     ClosedFormInapplicableError,
+    CycleKind,
+    CycleSpec,
     NonUniqueSteadyStateError,
     PopulationVector,
+    SteadyStateError,
     SystemParams,
     eigenenergies,
     generator_matrix,
     gibbs_state,
+    stage_populations,
     steady_state_closed_form,
     steady_state_solve,
 )
@@ -87,6 +93,33 @@ def test_disconnected_level_graph_is_non_unique():
     _, rates = build_rates(B=1.10, delta=0.10, T_L=0.0, T_R=0.0, kappa=0.05, epsilon=1.0)
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state_solve(rates)
+
+
+@pytest.mark.parametrize("kind, T_M, dT, kappa, ref_kappa", [
+    (CycleKind.GQOC_ASYM, 6.0, 12.0, 1e5, 0.05),  # strong coupling
+    (CycleKind.GQOC_SYM, 1e7, 1.0, 0.05, 5e-5),  # hot reservoirs
+])
+def test_residual_check_scales_with_the_rates(kind, T_M, dT, kappa, ref_kappa):
+    # the populations do not depend on kappa, but the residual max|M P|
+    # grows with the rate scale: large rates must not be rejected
+    def populations(kappa):
+        spec = CycleSpec(kind=kind, B=1.5, delta_c=0.1, delta_h=0.99,
+                         kappa=kappa, T_M=T_M, dT=dT)
+        return [p for stage in stage_populations(spec) for p in stage.p]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # kappa above the weak-coupling warning
+        scaled = populations(kappa)
+    for got, ref in zip(scaled, populations(ref_kappa)):
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_overflowed_rates_are_a_numerical_failure():
+    spec = CycleSpec(kind=CycleKind.GQOC_ASYM, B=1.5, delta_c=0.1, delta_h=0.99,
+                     kappa=1e308, T_M=6.0, dT=12.0)
+    with pytest.warns(UserWarning), pytest.raises(SteadyStateError, match="not finite") as excinfo:
+        stage_populations(spec)
+    assert excinfo.value.code == "NUMERIC"
 
 
 def test_solver_is_deterministic():
@@ -183,10 +216,9 @@ def _oracle_populations(mpmath, rates):
     """Row-replaced LU solve of the same float rates at 400 digits."""
     with mpmath.workdps(400):
         m = mpmath.zeros(4, 4)
-        for entry in rates.entries:
-            u, l = entry.upper - 1, entry.lower - 1
-            m[l, u] += mpmath.mpf(entry.emission_total)
-            m[u, l] += mpmath.mpf(entry.absorption_total)
+        for r in range(4):
+            for c in range(4):
+                m[r, c] = mpmath.mpf(rates.left[r][c] + rates.right[r][c])
         for col in range(4):
             m[col, col] = -sum(m[row, col] for row in range(4) if row != col)
             m[0, col] = mpmath.mpf(1)

@@ -76,6 +76,9 @@ def test_output_groups_expand():
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(cycles=())
+    for field, value in (("outputs", "w"), ("outputs", "eta"), ("cycles", "qoc")):
+        with pytest.raises(ValueError, match=f"sweep {field} must be a sequence"):
+            small_config(**{field: value})
     with pytest.raises(ValueError):
         small_config(outputs=("nonsense",))
     with pytest.raises(ValueError):
