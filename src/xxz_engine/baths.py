@@ -53,6 +53,12 @@ def bose_occupation(omega: float, T: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def kappa_warning(kappa: float) -> str:
+    """The warning for a coupling above ``KAPPA_WARN``."""
+    return (f"kappa = {kappa:g} exceeds {KAPPA_WARN:g}; the weak-coupling "
+            "rate treatment is unreliable this far from the Markov regime")
+
+
 @dataclass(frozen=True)
 class BathParams:
     """Reservoir temperatures and ohmic coupling."""
@@ -71,11 +77,8 @@ class BathParams:
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa:g}")
         if self.kappa > KAPPA_WARN:
-            warnings.warn(
-                f"kappa = {self.kappa:g} exceeds {KAPPA_WARN:g}; the weak-coupling "
-                "rate treatment is unreliable this far from the Markov regime",
-                stacklevel=2,
-            )
+            # 1: here, 2: the dataclass __init__, 3: the caller
+            warnings.warn(kappa_warning(self.kappa), stacklevel=3)
 
 
 class RateSet(NamedTuple):

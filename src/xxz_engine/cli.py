@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -182,7 +183,10 @@ def _cmd_steady(args, out) -> int:
 def _cmd_cycle(args, out) -> int:
     spec = _spec_from_args(args)
     cells = cycle_cells(spec, CYCLE_COLUMNS)
-    for label, stage in zip(("1-2", "3-4"), stage_states(spec)):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the cells' evaluation warned already
+        stages = stage_states(spec)
+    for label, stage in zip(("1-2", "3-4"), stages):
         if stage.rates is not None:
             tau = relaxation_time(generator_matrix(stage.rates))
             print(f"stage {label} relaxation timescale: {tau:.6g}", file=sys.stderr)

@@ -23,6 +23,11 @@ swaps them.  Heats, work and efficiency follow the first-law bookkeeping
 
 and the positive-work condition compares the stage-to-stage population
 shifts of the entangled levels (3, 4) against the product levels (1, 2).
+
+``stage_states`` evaluates a spec through the array kernel of ``batch``
+with N = 1, the same code that evaluates sweeps; the functions below it
+assemble a ``CycleResult`` from the stages, in the order of operations the
+kernel follows, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .baths import BathParams, RateSet, transition_rates
+from .baths import RateSet
+from .batch import CYCLE_RULES, FIELDS, Batch, evaluate_spec
 from .dynamics import flows_at
-from .model import EigenSystem, SystemParams, eigenenergies, transition_table
-from .steady import PopulationVector, gibbs_state, steady_state_solve
+from .model import EigenSystem
+from .steady import PopulationVector
 
 #: Default cold-reservoir floor; keeps dT = 2*T_M from reaching T = 0 exactly.
 _DEFAULT_T_FLOOR = 0.005
@@ -56,6 +62,13 @@ class CycleKind(str, Enum):
     GQOC_SYM = "gqoc-sym"
     GQOC_ASYM = "gqoc-asym"
 
+    @property
+    def epsilon(self) -> float | None:
+        """Coupling asymmetry of the two-bath stages; None for the QOC's isochores."""
+        if self is CycleKind.QOC:
+            return None
+        return 1.0 if self is CycleKind.GQOC_ASYM else 0.0
+
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -73,19 +86,11 @@ class CycleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", CycleKind(self.kind))
-        for name in ("B", "delta_c", "delta_h", "kappa", "T_M", "dT", "J", "T_floor"):
+        for name in FIELDS:
             finite_number(getattr(self, name), name)
-        if self.delta_h <= self.delta_c:
-            raise ValueError(
-                f"delta_h = {self.delta_h:g} must exceed delta_c = {self.delta_c:g} "
-                "(the engine's working regime)"
-            )
-        if self.T_M <= 0.0 or self.dT < 0.0:
-            raise ValueError("need T_M > 0 and dT >= 0")
-        if self.T_floor < 0.0:
-            raise ValueError("T_floor must be >= 0")
-        if self.T_M + self.dT / 2.0 <= self.T_floor:
-            raise ValueError("hot stage temperature would sit below the floor")
+        for violated, message in CYCLE_RULES:
+            if violated(self):
+                raise ValueError(message.format(s=self))
 
 
 @dataclass(frozen=True)
@@ -127,41 +132,32 @@ def stage_temperatures(spec: CycleSpec) -> tuple[float, float]:
     return t_hot, t_cold
 
 
-def _gqoc_stage(
-    params: SystemParams, epsilon: float, kappa: float, T_L: float, T_R: float
-) -> StageState:
-    eigen = eigenenergies(params)
-    table = transition_table(eigen, epsilon)
-    rates = transition_rates(table, BathParams(T_L=T_L, T_R=T_R, kappa=kappa))
-    return StageState(
-        eigen=eigen,
-        populations=steady_state_solve(rates),
-        rates=rates,
-        T_L=T_L,
-        T_R=T_R,
-    )
-
-
 def stage_states(spec: CycleSpec) -> tuple[StageState, StageState]:
-    """Fully relaxed stage 1-2 (at delta_c) and stage 3-4 (at delta_h)."""
-    t_hot, t_cold = stage_temperatures(spec)
-    params_c = SystemParams(B=spec.B, J=spec.J, delta=spec.delta_c)
-    params_h = SystemParams(B=spec.B, J=spec.J, delta=spec.delta_h)
-    if spec.kind is CycleKind.QOC:
-        eigen_c, eigen_h = eigenenergies(params_c), eigenenergies(params_h)
-        stage_c = StageState(
-            eigen=eigen_c, populations=gibbs_state(eigen_c, t_cold),
-            rates=None, T_L=t_cold, T_R=t_cold,
-        )
-        stage_h = StageState(
-            eigen=eigen_h, populations=gibbs_state(eigen_h, t_hot),
-            rates=None, T_L=t_hot, T_R=t_hot,
-        )
-        return stage_c, stage_h
-    epsilon = 1.0 if spec.kind is CycleKind.GQOC_ASYM else 0.0
-    stage_c = _gqoc_stage(params_c, epsilon, spec.kappa, T_L=t_hot, T_R=t_cold)
-    stage_h = _gqoc_stage(params_h, epsilon, spec.kappa, T_L=t_cold, T_R=t_hot)
-    return stage_c, stage_h
+    """Fully relaxed stage 1-2 (at delta_c) and stage 3-4 (at delta_h).
+
+    Raises what the evaluation of the spec fails with: ``ValueError`` for
+    parameters outside the model's domain, ``SteadyStateError`` (or its
+    ``NonUniqueSteadyStateError``) when the steady state cannot be had.
+    """
+    return batch_stages(evaluate_spec(spec))
+
+
+def batch_stages(batch: Batch, i: int = 0) -> tuple[StageState, StageState]:
+    """The two stages of point ``i`` of a kernel evaluation, as plain floats."""
+    stages = []
+    for s in (0, 1):
+        T_L, T_R = batch.temperatures[s, i].tolist()
+        rates = None
+        if batch.rates is not None:
+            rates = RateSet(*(tuple(map(tuple, m)) for m in batch.rates[s, i].tolist()))
+        stages.append(StageState(
+            eigen=EigenSystem(energies=tuple(batch.energies[s, i].tolist())),
+            populations=PopulationVector(p=tuple(batch.populations[s, i].tolist())),
+            rates=rates,
+            T_L=T_L,
+            T_R=T_R,
+        ))
+    return stages[0], stages[1]
 
 
 def stage_populations(spec: CycleSpec) -> tuple[PopulationVector, PopulationVector]:
@@ -177,12 +173,10 @@ def cycle_thermo(
     eigen_h: EigenSystem,
 ) -> tuple[float, float, float]:
     """(Q12, Q34, W) from the stage populations and spectra; W = Q12 + Q34."""
-    q12 = sum(
-        eigen_c.energy(i) * (p_c.probability(i) - p_h.probability(i)) for i in (1, 2, 3, 4)
-    )
-    q34 = sum(
-        eigen_h.energy(i) * (p_h.probability(i) - p_c.probability(i)) for i in (1, 2, 3, 4)
-    )
+    q12 = q34 = 0.0  # summed in level order, as the array kernel does
+    for e_c, e_h, pc, ph in zip(eigen_c.energies, eigen_h.energies, p_c.p, p_h.p):
+        q12 += e_c * (pc - ph)
+        q34 += e_h * (ph - pc)
     return q12, q34, q12 + q34
 
 
@@ -208,8 +202,9 @@ def positive_work_condition(
     product levels (1, 2).  With delta_h > delta_c, positive work is
     extracted exactly when Xi34 > Xi12.
     """
-    xi12 = sum(p_c.probability(i) - p_h.probability(i) for i in (1, 2))
-    xi34 = sum(p_c.probability(i) - p_h.probability(i) for i in (3, 4))
+    (c1, c2, c3, c4), (h1, h2, h3, h4) = p_c.p, p_h.p
+    xi12 = 0.0 + (c1 - h1) + (c2 - h2)
+    xi34 = 0.0 + (c3 - h3) + (c4 - h4)
     return xi12, xi34, xi34 > xi12
 
 

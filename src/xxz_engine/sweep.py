@@ -1,18 +1,20 @@
 """Deterministic grid sweeps over cycle parameters, plus figure presets.
 
-``COLUMNS`` maps each output column to how its value is read off an
-evaluated cycle; the output vocabulary, its shorthand groups, the figure
-panels and the ``cycle`` subcommand's row derive from it, and
-``cycle_cells`` is the one function that turns a spec into cells.  The
-``pi*`` columns cost two flux evaluations and are computed only when
-requested; a failure of the entropy production marks only them.
+``COLUMNS`` maps each output column to how its values are read off a
+``batch.Batch``, the kernel's evaluation of one cycle kind over many
+points; the output vocabulary, its shorthand groups, the figure panels and
+the ``cycle`` subcommand's row derive from it.  ``cycle_cells`` gives the
+cells of one spec (an N = 1 evaluation, which raises on failure).  The
+``pi*`` columns are computed only when requested; a failure of the entropy
+production marks only them.
 
 A sweep evaluates every point of one or two linearly spaced axes (at most
 ``MAX_GRID_POINTS``) for the selected cycles, one row per (point, cycle),
-row-major over the axes with cycles innermost.  Points run serially: the
-evaluation holds the interpreter lock, so a thread pool only made sweeps
-slower; ``XXZ_ENGINE_THREADS`` is validated but changes nothing.  A point
-whose evaluation fails gets ``#ERR:<code>`` cells; its neighbors do not.
+row-major over the axes with cycles innermost.  The grid is walked in
+chunks of ``CHUNK_POINTS`` points, and each chunk is evaluated as arrays,
+once per cycle kind, so the memory stays bounded whatever the grid size.
+``XXZ_ENGINE_THREADS`` is validated but changes nothing.  A point whose
+evaluation fails gets ``#ERR:<code>`` cells; its neighbors do not.
 """
 
 from __future__ import annotations
@@ -20,21 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
 
-from .cycles import (
-    CycleKind,
-    CycleSpec,
-    CycleResult,
-    StageState,
-    cycle_result_from_stages,
-    finite_number,
-    stage_entropy_production,
-    stage_states,
-)
-from .steady import SteadyStateError
+import numpy as np
+
+from .batch import ERROR_CELLS, FIELDS, Batch, evaluate, evaluate_spec
+from .cycles import CycleKind, CycleSpec, finite_number
 
 #: CycleSpec fields that may serve as sweep axes.
 AXIS_NAMES = ("B", "T_M", "dT", "delta_c", "delta_h", "kappa")
@@ -42,31 +36,45 @@ AXIS_NAMES = ("B", "T_M", "dT", "delta_c", "delta_h", "kappa")
 #: Largest number of grid points a sweep accepts, checked before any is made.
 MAX_GRID_POINTS = 10**7
 
-
-class _Evaluated(NamedTuple):
-    """One evaluated cycle, which every output column is read from."""
-
-    stage_c: StageState
-    stage_h: StageState
-    result: CycleResult
-    pi12: float | str | None  # the pi* values are None unless requested
-    pi34: float | str | None
-    pi_total: float | str | None
+#: Grid points evaluated together as arrays; bounds a sweep's working memory.
+CHUNK_POINTS = 1024
 
 
-def _stage_value(path: str, i: int):
-    read = attrgetter(path)
-    return lambda evaluated: read(evaluated)[i - 1]
+def _values(read):
+    """A column reader: ``read(batch)`` as an array, made a list of Python values."""
+    return lambda batch: read(batch).tolist()
+
+
+def _eta(batch: Batch) -> list:
+    """The efficiency column: None where it is undefined (nan in the Batch)."""
+    return [None if math.isnan(eta) else eta for eta in batch.eta.tolist()]
+
+
+#: The cell of a ``pi*`` column whose entropy production is undefined: a
+#: reservoir at T = 0, which ``dynamics.entropy_flux`` rejects as a domain error.
+_PI_ERROR = "#ERR:DOMAIN"
+
+
+def _pi_values(k: int):
+    def read(batch: Batch) -> list:
+        values = batch.pi[k].tolist()
+        for i in np.flatnonzero(~batch.pi_ok).tolist():
+            values[i] = _PI_ERROR
+        return values
+    return read
 
 
 #: Per-stage column groups: populations and energies of levels 1..4 at the
 #: end of stage 1-2 (``_c``) and of stage 3-4 (``_h``).
 _STAGE_GROUPS = {
     f"{group}_{side}": {
-        f"{letter}{i}_{side}": _stage_value(f"stage_{side}.{path}", i) for i in (1, 2, 3, 4)
+        f"{letter}{i}_{side}": _values(
+            lambda batch, field=field, s=s, i=i: getattr(batch, field)[s, :, i - 1]
+        )
+        for i in (1, 2, 3, 4)
     }
-    for group, letter, path in (("p", "P", "populations.p"), ("E", "E", "eigen.energies"))
-    for side in ("c", "h")
+    for group, letter, field in (("p", "P", "populations"), ("E", "E", "energies"))
+    for s, side in enumerate(("c", "h"))
 }
 
 _HEATS_WORK_XI = ("q12", "q34", "w", "eta", "xi12", "xi34")
@@ -74,13 +82,13 @@ _FLAGS = ("positive_work", "unity")
 _PI_COLUMNS = ("pi12", "pi34", "pi_total")
 _PI_SET = frozenset(_PI_COLUMNS)
 
-#: Every per-cycle output column, in output order, with how its value is
-#: read off an evaluated cycle.
+#: Every per-cycle output column, in output order, with how its values are
+#: read off a Batch: one Python value per point.
 COLUMNS = {
-    **{name: attrgetter(f"result.{name}") for name in _HEATS_WORK_XI},
-    "xi_diff": lambda evaluated: evaluated.result.xi34 - evaluated.result.xi12,
-    **{name: attrgetter(f"result.{name}") for name in _FLAGS},
-    **{name: attrgetter(name) for name in _PI_COLUMNS},
+    **{name: _eta if name == "eta" else _values(attrgetter(name)) for name in _HEATS_WORK_XI},
+    "xi_diff": _values(lambda batch: batch.xi34 - batch.xi12),
+    **{name: _values(attrgetter(name)) for name in _FLAGS},
+    **{name: _pi_values(k) for k, name in enumerate(_PI_COLUMNS)},
     **{name: read for group in _STAGE_GROUPS.values() for name, read in group.items()},
 }
 
@@ -186,35 +194,25 @@ class SweepTable:
     rows: list[tuple]
 
 
-def _error_code(exc: Exception) -> str:
-    return exc.code if isinstance(exc, SteadyStateError) else "DOMAIN"
-
-
-def _entropy_cells(stage_c: StageState, stage_h: StageState) -> tuple:
-    """(pi12, pi34, pi_total), or their ``#ERR`` markers if Pi alone fails."""
-    try:
-        pi12 = stage_entropy_production(stage_c)
-        pi34 = stage_entropy_production(stage_h)
-    except (ValueError, ArithmeticError) as exc:
-        return (f"#ERR:{_error_code(exc)}",) * 3
-    return pi12, pi34, pi12 + pi34
+def _cells(batch: Batch, columns: tuple[str, ...]) -> list[tuple]:
+    """The cells of the output ``columns`` for every point of a Batch; a
+    failed point's cells are its ``#ERR:<code>`` marker."""
+    cells = list(zip(*(COLUMNS[name](batch) for name in columns)))
+    for i in np.flatnonzero(batch.reason).tolist():
+        cells[i] = (ERROR_CELLS[batch.reason[i]],) * len(columns)
+    return cells
 
 
 def cycle_cells(spec: CycleSpec, columns: tuple[str, ...]) -> tuple:
     """The cells of the output ``columns`` for one cycle evaluation, in order.
 
+    Raises what the evaluation fails with (see ``cycles.stage_states``).
     The entropy production is computed only when a ``pi*`` column is
     requested, and its failure marks only the ``pi*`` cells: heats, work
     and populations do not depend on it.
     """
-    stage_c, stage_h = stage_states(spec)
-    result = cycle_result_from_stages(spec, stage_c, stage_h)
-    if not _PI_SET.isdisjoint(columns):
-        pi = _entropy_cells(stage_c, stage_h)
-    else:
-        pi = (None, None, None)
-    evaluated = _Evaluated(stage_c, stage_h, result, *pi)
-    return tuple([COLUMNS[name](evaluated) for name in columns])
+    batch = evaluate_spec(spec, pi=not _PI_SET.isdisjoint(columns))
+    return tuple(COLUMNS[name](batch)[0] for name in columns)
 
 
 def worker_count() -> int:
@@ -233,15 +231,18 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate the whole grid; rows in deterministic row-major order."""
     worker_count()
     names = tuple(axis.name for axis in config.axes)
+    base = {name: getattr(config.base, name) for name in FIELDS}
+    pi = not _PI_SET.isdisjoint(config.outputs)
+    labels = [(kind.value,) for kind in config.cycles]
     rows: list[tuple] = []
-    for values in config.grid():
-        overrides = dict(zip(names, values))
-        for kind in config.cycles:
-            try:
-                cells = cycle_cells(replace(config.base, kind=kind, **overrides), config.outputs)
-            except (SteadyStateError, ValueError, ArithmeticError) as exc:
-                cells = (f"#ERR:{_error_code(exc)}",) * len(config.outputs)
-            rows.append(values + (kind.value,) + cells)
+    grid = config.grid()
+    while chunk := list(itertools.islice(grid, CHUNK_POINTS)):
+        points = dict(base, **dict(zip(names, np.array(chunk).T)))
+        cells = [_cells(evaluate(kind.epsilon, points, pi), config.outputs)
+                 for kind in config.cycles]
+        for values, point_cells in zip(chunk, zip(*cells)):
+            rows.extend(values + label + kind_cells
+                        for label, kind_cells in zip(labels, point_cells))
     return SweepTable(columns=config.columns(), rows=rows)
 
 

@@ -250,6 +250,12 @@ def test_large_kappa_warns_but_constructs():
         BathParams(T_L=1.0, T_R=1.0, kappa=0.3)
 
 
+def test_large_kappa_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="kappa = 0.5 exceeds") as record:
+        BathParams(T_L=1, T_R=0.5, kappa=0.5)
+    assert record[0].filename == __file__
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -221,6 +221,23 @@ def test_sweep_config_errors_exit_2(tmp_path, capsys):
         assert named in err
 
 
+def test_overflowing_sweep_row_is_a_numeric_error(tmp_path, capsys):
+    good = sweep_config_to_dict(figure_preset("fig2").runs[0].config)
+    doc = dict(good, axes=[{"name": "kappa", "start": 0.05, "stop": 1e308, "count": 2}],
+               cycles=["gqoc-asym", "qoc"], outputs=["w", "pi12"])
+    config = tmp_path / "kappa.json"
+    config.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="kappa = 1e\\+308"):
+        status, out, _ = run_cli(capsys, "sweep", "--config", str(config))
+    assert status == 3
+    header, rows = parse_csv(out)
+    assert header == ["kappa", "cycle", "w", "pi12"]
+    assert [row[:2] for row in rows] == [["0.05", "gqoc-asym"], ["0.05", "qoc"],
+                                         ["1e+308", "gqoc-asym"], ["1e+308", "qoc"]]
+    assert rows[2][2:] == ["#ERR:NUMERIC", "#ERR:NUMERIC"]
+    assert all(not cell.startswith("#ERR") for row in rows[:2] + rows[3:] for cell in row)
+
+
 def test_sweep_grid_is_capped_before_evaluation():
     good = sweep_config_to_dict(figure_preset("fig2").runs[0].config)
     huge = [

@@ -20,6 +20,7 @@ from xxz_engine import (
     steady_state_closed_form,
     steady_state_solve,
 )
+from xxz_engine.batch import tree_steady_state
 
 from conftest import build_rates, synthetic_rates
 
@@ -245,14 +246,18 @@ def test_deep_freeze_keeps_relative_accuracy(rng):
             kappa=rng.uniform(0.01, 0.1),
             epsilon=float(index % 2),
         ))
+    rate_sets = [build_rates(**case)[1] for case in cases]
+    # the array kernel's tree on the same float rates, all cases at once
+    kernel, reasons = tree_steady_state(np.array(rate_sets, dtype=float))
+    assert not reasons.any()
     smallest = 1.0
-    for case in cases:
-        _, rates = build_rates(**case)
+    for case, rates, batched in zip(cases, rate_sets, kernel.tolist()):
         solved = steady_state_solve(rates).p
-        for got, ref in zip(solved, _oracle_populations(mpmath, rates)):
+        for got, got_batched, ref in zip(solved, batched, _oracle_populations(mpmath, rates)):
             smallest = min(smallest, float(ref))
-            if ref >= 1e-290:
-                assert abs((got - ref) / ref) <= 1e-12, (case, got, ref)
-            else:
-                assert abs(got - ref) <= 1e-290, (case, got, ref)
+            for value in (got, got_batched):
+                if ref >= 1e-290:
+                    assert abs((value - ref) / ref) <= 1e-12, (case, value, ref)
+                else:
+                    assert abs(value - ref) <= 1e-290, (case, value, ref)
     assert smallest < 1e-90  # the cases reach the deeply frozen regime

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from xxz_engine import (
-    ClosedFormInapplicableError,
     CycleKind,
     CycleSpec,
+    DegenerateCouplingError,
     NonUniqueSteadyStateError,
     SteadyStateError,
     SweepAxis,
@@ -18,7 +18,8 @@ from xxz_engine import (
     project_panel,
     run_sweep,
 )
-from xxz_engine import sweep as sweep_module
+from xxz_engine import batch as batch_module
+from xxz_engine.batch import REASONS
 
 
 def small_config(**overrides):
@@ -109,31 +110,27 @@ def test_invalid_points_become_error_rows():
 
 
 def test_failed_point_does_not_disturb_neighbors(monkeypatch):
-    real = sweep_module.cycle_cells
+    real = batch_module._stage_populations
 
-    def flaky(spec, columns):
-        if spec.B == 0.0:
-            raise RuntimeError("injected")
-        return real(spec, columns)
+    def flaky(energies, rates, T):
+        raise RuntimeError("injected")
 
     clean = run_sweep(small_config(cycles=(CycleKind.QOC,)))
-    monkeypatch.setattr(sweep_module, "cycle_cells", flaky)
+    monkeypatch.setattr(batch_module, "_stage_populations", flaky)
     with pytest.raises(RuntimeError):
         run_sweep(small_config(cycles=(CycleKind.QOC,)))
 
-    for error, code in (
-        (ValueError, "DOMAIN"),
-        (ArithmeticError, "DOMAIN"),
-        (SteadyStateError, "NUMERIC"),
-        (NonUniqueSteadyStateError, "NONUNIQUE"),
-        (ClosedFormInapplicableError, "CLOSEDFORM"),
-    ):
-        def marked(spec, columns, error=error):
-            if spec.B == 0.0:
-                raise error("injected")
-            return real(spec, columns)
+    codes = {ValueError: "DOMAIN", DegenerateCouplingError: "DOMAIN",
+             SteadyStateError: "NUMERIC", NonUniqueSteadyStateError: "NONUNIQUE"}
+    for reason, (error, _) in enumerate(REASONS[1:], start=1):
+        code = codes[error]
 
-        monkeypatch.setattr(sweep_module, "cycle_cells", marked)
+        def marked(energies, rates, T, reason=reason):
+            populations, reasons = real(energies, rates, T)
+            at_zero_field = energies[:, 0] == energies[:, 1]  # E1 = E2 exactly where B = 0
+            return populations, np.where(at_zero_field, reason, reasons)
+
+        monkeypatch.setattr(batch_module, "_stage_populations", marked)
         table = run_sweep(small_config(cycles=(CycleKind.QOC,)))
         assert table.rows[2][2:] == (f"#ERR:{code}",) * 2
         for good, row in zip(clean.rows[:2] + clean.rows[3:], table.rows[:2] + table.rows[3:]):
@@ -164,11 +161,13 @@ def test_entropy_failure_marks_only_pi_cells():
 def test_entropy_production_only_computed_when_requested(monkeypatch):
     clean = run_sweep(small_config(outputs=("w", "eta", "p_c", "E_h", "flags")))
 
-    def forbidden(stage):
+    def forbidden(energies, rates, populations, T):
         raise AssertionError("entropy production computed for a sweep without pi* columns")
 
-    monkeypatch.setattr(sweep_module, "stage_entropy_production", forbidden)
+    monkeypatch.setattr(batch_module, "_entropy_production", forbidden)
     assert run_sweep(small_config(outputs=("w", "eta", "p_c", "E_h", "flags"))).rows == clean.rows
+    with pytest.raises(AssertionError):  # the injection does reach a sweep that asks for Pi
+        run_sweep(small_config(outputs=("w", "pi12")))
 
 
 def test_schedule_independence(monkeypatch):
